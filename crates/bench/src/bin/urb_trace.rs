@@ -31,11 +31,9 @@ use bench::Table;
 use cluster::{Sim, SimConfig};
 use faults::Fault;
 use recovery::RmConfig;
-use simcore::metrics::level_suffix;
 use simcore::telemetry::shared_bus;
 use simcore::trace::{
-    assemble_episodes, availability_timeline, event_kind, event_to_json, taw_dip, KernelGauges,
-    Trace, TraceRecorder,
+    assemble_episodes, availability_timeline, taw_dip, KernelGauges, Trace, TraceRecorder,
 };
 use simcore::{MetricsRegistry, QuantileSketch, SimTime, TelemetryEvent};
 use workload::FunctionalGroup;
@@ -227,7 +225,7 @@ fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
             i.to_string(),
             ep.node.to_string(),
             ep.trigger(),
-            level_suffix(ep.level).to_string(),
+            ep.level.token().to_string(),
             format!("{:.3}", ep.begun_at.as_secs_f64()),
             format!("{:.1}", ep.duration.as_millis_f64()),
             ep.detection_to_recovery()
@@ -453,22 +451,26 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         .unwrap_or_else(|| a.events.len().min(b.events.len()));
     println!("\nfirst divergence at event index {first}:");
     match (a.events.get(first), b.events.get(first)) {
-        (Some(x), Some(y)) => {
-            println!("  a: {}", event_to_json(x));
-            println!("  b: {}", event_to_json(y));
-        }
-        (Some(x), None) => println!("  a: {}\n  b: <end of trace>", event_to_json(x)),
-        (None, Some(y)) => println!("  a: <end of trace>\n  b: {}", event_to_json(y)),
         (None, None) => println!("  (event streams equal; digests differ in meta only)"),
+        (x, y) => {
+            for (label, ev) in [("a", x), ("b", y)] {
+                let mut line = String::new();
+                match ev {
+                    Some(ev) => ev.write_json(&mut line),
+                    None => line.push_str("<end of trace>"),
+                }
+                println!("  {label}: {line}");
+            }
+        }
     }
 
     // Per-kind count deltas.
     let mut kinds: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     for ev in &a.events {
-        kinds.entry(event_kind(ev)).or_insert((0, 0)).0 += 1;
+        kinds.entry(ev.kind()).or_insert((0, 0)).0 += 1;
     }
     for ev in &b.events {
-        kinds.entry(event_kind(ev)).or_insert((0, 0)).1 += 1;
+        kinds.entry(ev.kind()).or_insert((0, 0)).1 += 1;
     }
     println!("\nper-kind event counts:");
     let mut t = Table::new(&["kind", "a", "b", "delta"]);

@@ -21,8 +21,19 @@
 //! generates, so a cancelled microreboot's scheduled completion becomes a
 //! harmless no-op instead of racing the restart that replaced it.
 //!
-//! The per-level methods (`begin_microreboot`, `begin_app_restart`, ...)
-//! survive as thin wrappers over the unified API.
+//! Two per-level wrappers over the unified API remain: the microreboot
+//! trio (`begin_microreboot`, `microreboot_crash`,
+//! `microreboot_complete`) and the process restart pair
+//! (`begin_process_restart`, `process_restart_complete`).
+//!
+//! Every match on [`RebootLevel`] here names each level: a new level must
+//! fail to compile until the lifecycle handles it, and a wildcard arm that
+//! would hide it is a clippy error.
+
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 use components::descriptor::ComponentId;
 use components::registry::Binding;
@@ -561,25 +572,6 @@ impl<A: Application> AppServer<A> {
         self.recovery_complete(id, now)
     }
 
-    /// Restarts the whole application in place. Returns the completion
-    /// instant and the killed requests' responses.
-    ///
-    /// Fails when the JVM itself is down — a dead process cannot redeploy
-    /// an application; the caller must escalate to a process restart.
-    pub fn begin_app_restart(
-        &mut self,
-        now: SimTime,
-    ) -> Result<(SimTime, Vec<Response>), RebootError> {
-        let ticket = self.begin_recovery(RebootLevel::Application, &[], now, None)?;
-        let killed = self.recovery_crash(ticket.id, now);
-        Ok((ticket.done_at, killed))
-    }
-
-    /// Completes an application restart.
-    pub fn app_restart_complete(&mut self, now: SimTime) {
-        self.complete_level(RebootLevel::Application, now);
-    }
-
     /// `kill -9`s the JVM and begins a process restart.
     pub fn begin_process_restart(&mut self, now: SimTime) -> (SimTime, Vec<Response>) {
         let ticket = self
@@ -592,20 +584,5 @@ impl<A: Application> AppServer<A> {
     /// Completes a process restart.
     pub fn process_restart_complete(&mut self, now: SimTime) {
         self.complete_level(RebootLevel::Process, now);
-    }
-
-    /// Reboots the node's operating system (the recursive policy's last
-    /// resort). Clears even extra-JVM leaks.
-    pub fn begin_os_reboot(&mut self, now: SimTime) -> (SimTime, Vec<Response>) {
-        let ticket = self
-            .begin_recovery(RebootLevel::OperatingSystem, &[], now, None)
-            .expect("OS reboot is always possible");
-        let killed = self.recovery_crash(ticket.id, now);
-        (ticket.done_at, killed)
-    }
-
-    /// Completes an OS reboot.
-    pub fn os_reboot_complete(&mut self, now: SimTime) {
-        self.complete_level(RebootLevel::OperatingSystem, now);
     }
 }

@@ -2,7 +2,7 @@
 //! application: request lifecycle, microreboot semantics, sentinels and
 //! retries, coarser reboots, hangs and TTLs, heap and rejuvenation.
 
-use simcore::{SimDuration, SimTime};
+use simcore::{RebootLevel, SimDuration, SimTime};
 use statestore::session::CorruptKind;
 use statestore::{FastS, Ssm, Value};
 use urb_core::server::{make_request, ProcState, ServerFault};
@@ -408,7 +408,11 @@ fn app_restart_is_cheaper_than_process_restart_and_keeps_fasts() {
     let r = run_one(&mut srv, 1, ops::LOGIN, None, 42, t);
     let sid = r.set_cookie.unwrap();
 
-    let (ready, _) = srv.begin_app_restart(t).unwrap();
+    let ticket = srv
+        .begin_recovery(RebootLevel::Application, &[], t, None)
+        .unwrap();
+    srv.recovery_crash(ticket.id, t);
+    let ready = ticket.done_at;
     let dur = ready - t;
     assert!(dur > SimDuration::from_secs(7) && dur < SimDuration::from_secs(9));
 
@@ -423,7 +427,7 @@ fn app_restart_is_cheaper_than_process_restart_and_keeps_fasts() {
     );
     assert_eq!(r.status, Status::ServerError(503));
 
-    srv.app_restart_complete(ready);
+    srv.recovery_complete(ticket.id, ready);
     // FastS lives in the server, outside the application: it survived.
     let r = run_one(&mut srv, 3, ops::CART_ADD, Some(sid), 7, ready);
     assert!(!r.markers.login_prompt);

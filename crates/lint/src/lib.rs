@@ -13,16 +13,15 @@
 //!   schedule paths and string-keyed metric bumps built with `format!` —
 //!   outside the sanctioned closure-compat module
 //!   (`simcore/src/event.rs`).
-//! * **Exhaustiveness rules (`E001`–`E006`)**, applied to the canonical
-//!   telemetry and fault surfaces: every `TelemetryEvent` variant must
-//!   have an `encode_into` arm, trace encode/parse/kind arms, and a
-//!   `MetricsRegistry` fold arm (with no wildcard), every `RebootLevel`
-//!   must be handled in `lifecycle.rs`, every `faults::Fault` variant
-//!   must have both an injection-conversion arm and a campaign-generator
-//!   arm (so urb-chaos can reach the whole fault model), and (`E006`)
-//!   every `RecoveryPolicy` implementation must be registered in the
+//! * **Exhaustiveness rules (`E005`–`E006`)**, applied to the fault
+//!   model and the policy registry: every `faults::Fault` variant must
+//!   have both an injection-conversion arm and a campaign-generator arm
+//!   (so urb-chaos can reach the whole fault model), and (`E006`) every
+//!   `RecoveryPolicy` implementation must be registered in the
 //!   `PolicyChoice` tournament registry with every variant constructible,
-//!   labelled, coded and rostered in `ALL`.
+//!   labelled, coded and rostered in `ALL`. The telemetry surfaces need
+//!   no rule: they are generated from one schema table, and rustc and
+//!   clippy check the hand-written folds over them.
 //!
 //! The escape hatch is a pragma comment on the offending line or the
 //! line above: `// urb-lint: allow(D001) — <justification>`. A pragma
@@ -88,16 +87,6 @@ pub const RULES: &[(&str, &str)] = &[
         "D008",
         "heap-boxed event closure or string-keyed metric bump on the kernel hot path",
     ),
-    ("E001", "TelemetryEvent variant missing an encode_into arm"),
-    (
-        "E002",
-        "TelemetryEvent variant missing a trace encode/parse/kind arm",
-    ),
-    (
-        "E003",
-        "TelemetryEvent variant missing (or wildcarded) in the MetricsRegistry fold",
-    ),
-    ("E004", "RebootLevel variant unhandled in lifecycle.rs"),
     (
         "E005",
         "Fault variant missing an injection-conversion or campaign-generator arm",
@@ -1158,156 +1147,8 @@ fn body_after(code: &[String], anchor: &str) -> Option<(usize, Vec<String>)> {
     }
 }
 
-fn camel_to_snake(name: &str) -> String {
-    let mut out = String::new();
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.push(c.to_ascii_lowercase());
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
 fn body_text(code: &[String], anchor: &str) -> Option<String> {
     body_after(code, anchor).map(|(_, lines)| lines.join("\n"))
-}
-
-/// Cross-checks the telemetry surfaces. `telemetry` is required (it
-/// declares the enums); the other three are checked when given, so
-/// fixtures can exercise each rule in isolation.
-pub fn check_exhaustiveness(
-    telemetry: &ExhaustInput,
-    trace: Option<&ExhaustInput>,
-    metrics: Option<&ExhaustInput>,
-    lifecycle: Option<&ExhaustInput>,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let variants = enum_variants(telemetry.src, "TelemetryEvent");
-    let levels = enum_variants(telemetry.src, "RebootLevel");
-    let tel_code = mask_source(telemetry.src).code;
-
-    // E001: every variant has an encode_into arm.
-    if let Some(body) = body_text(&tel_code, "fn encode_into") {
-        for v in &variants {
-            if !body.contains(&format!("TelemetryEvent::{}", v.name)) {
-                diags.push(Diagnostic {
-                    file: telemetry.label.to_string(),
-                    line: v.line,
-                    rule: "E001",
-                    message: format!(
-                        "TelemetryEvent::{} has no encode_into arm (digests would miss it)",
-                        v.name
-                    ),
-                    fix: "add a match arm with a fresh tag byte in encode_into".to_string(),
-                });
-            }
-        }
-    }
-
-    // E002: trace kind/encode/parse arms.
-    if let Some(trace) = trace {
-        let code = mask_source(trace.src).code;
-        let surfaces = [
-            ("fn event_kind", "event_kind"),
-            ("fn event_to_json", "event_to_json"),
-        ];
-        for (anchor, what) in surfaces {
-            if let Some(body) = body_text(&code, anchor) {
-                for v in &variants {
-                    if !body.contains(&format!("TelemetryEvent::{}", v.name)) {
-                        diags.push(Diagnostic {
-                            file: trace.label.to_string(),
-                            line: 1,
-                            rule: "E002",
-                            message: format!("TelemetryEvent::{} has no {what} arm", v.name),
-                            fix: format!("add a match arm for the variant in {what}"),
-                        });
-                    }
-                }
-            }
-        }
-        // The parse arms match on string keys, which the masking blanks
-        // out: check the raw lines of the function's span instead.
-        if let Some((first_line, body)) = body_after(&code, "fn event_from_json") {
-            let raw: Vec<&str> = trace.src.lines().collect();
-            let span = raw[first_line - 1..(first_line - 1 + body.len()).min(raw.len())].join("\n");
-            for v in &variants {
-                let key = format!("\"{}\"", camel_to_snake(&v.name));
-                if !span.contains(&key) {
-                    diags.push(Diagnostic {
-                        file: trace.label.to_string(),
-                        line: 1,
-                        rule: "E002",
-                        message: format!(
-                            "TelemetryEvent::{} ({key}) has no event_from_json arm",
-                            v.name
-                        ),
-                        fix: "add a parse arm so round-tripping stays total".to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    // E003: the MetricsRegistry fold names every variant, no wildcard.
-    if let Some(metrics) = metrics {
-        let code = mask_source(metrics.src).code;
-        if let Some((impl_start, impl_body)) =
-            body_after(&code, "impl TelemetrySink for MetricsRegistry")
-        {
-            if let Some((fn_start, fn_body)) = body_after(&impl_body, "fn on_event") {
-                let body = fn_body.join("\n");
-                for v in &variants {
-                    if !body.contains(&format!("TelemetryEvent::{}", v.name)) {
-                        diags.push(Diagnostic {
-                            file: metrics.label.to_string(),
-                            line: impl_start,
-                            rule: "E003",
-                            message: format!(
-                                "TelemetryEvent::{} is not folded by MetricsRegistry",
-                                v.name
-                            ),
-                            fix: "add an explicit match arm (even if it only counts)".to_string(),
-                        });
-                    }
-                }
-                for (off, wline) in wildcard_arms(&fn_body) {
-                    diags.push(Diagnostic {
-                        file: metrics.label.to_string(),
-                        line: impl_start + fn_start + off - 1,
-                        rule: "E003",
-                        message: format!(
-                            "wildcard arm `{}` defeats the exhaustiveness guarantee",
-                            wline.trim()
-                        ),
-                        fix: "enumerate the remaining variants explicitly".to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    // E004: every RebootLevel is handled in lifecycle.rs.
-    if let Some(lifecycle) = lifecycle {
-        let code = mask_source(lifecycle.src).code.join("\n");
-        for lv in &levels {
-            if !code.contains(&format!("RebootLevel::{}", lv.name)) {
-                diags.push(Diagnostic {
-                    file: lifecycle.label.to_string(),
-                    line: 1,
-                    rule: "E004",
-                    message: format!("RebootLevel::{} is never handled in the lifecycle", lv.name),
-                    fix: "handle the level in the reboot state machine".to_string(),
-                });
-            }
-        }
-    }
-    diags
 }
 
 /// Cross-checks the fault model (E005): every `Fault` variant declared in
@@ -1472,29 +1313,6 @@ pub fn check_policy_exhaustiveness(
     diags
 }
 
-/// `_ =>` arms at the top level of the first `match` in `fn_body`,
-/// as `(line_offset_within_body, line_text)`.
-fn wildcard_arms(fn_body: &[String]) -> Vec<(usize, String)> {
-    let Some((start, match_body)) = body_after(fn_body, "match ") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    for (off, line) in match_body.iter().enumerate() {
-        if depth == 0 && line.trim_start().starts_with("_ ") && line.contains("=>") {
-            out.push((start + off, line.clone()));
-        }
-        for c in line.chars() {
-            match c {
-                '{' | '(' => depth += 1,
-                '}' | ')' => depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Workspace driver
 // ---------------------------------------------------------------------------
@@ -1526,10 +1344,10 @@ fn rel_label(root: &Path, path: &Path) -> String {
 
 /// Lints a workspace rooted at `root`: determinism and state-safety
 /// rules over every `src/` file of the [`SIM_CRATES`], then the
-/// exhaustiveness cross-checks over the canonical telemetry surfaces
-/// (when present, so fixture trees exercising only the determinism rules
-/// still work), and finally stale-pragma detection over the union of
-/// pre-suppression hits.
+/// exhaustiveness cross-checks over the fault model and the policy
+/// registry (when present, so fixture trees exercising only the
+/// determinism rules still work), and finally stale-pragma detection over
+/// the union of pre-suppression hits.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut diags = Vec::new();
     let mut raw_hits: BTreeSet<(String, String, usize)> = BTreeSet::new();
@@ -1566,33 +1384,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         for (label, rule, line) in crate_lint.raw_hits {
             raw_hits.insert((label, rule.to_string(), line));
         }
-    }
-
-    let tel_path = root.join("crates/simcore/src/telemetry.rs");
-    if tel_path.is_file() {
-        let tel_src =
-            fs::read_to_string(&tel_path).map_err(|e| format!("{}: {e}", tel_path.display()))?;
-        let read_opt = |rel: &str| -> Option<(String, String)> {
-            let p = root.join(rel);
-            fs::read_to_string(&p).ok().map(|s| (rel.to_string(), s))
-        };
-        let trace = read_opt("crates/simcore/src/trace.rs");
-        let metrics = read_opt("crates/simcore/src/metrics.rs");
-        let lifecycle = read_opt("crates/core/src/lifecycle.rs");
-        fn as_input(t: &Option<(String, String)>) -> Option<ExhaustInput<'_>> {
-            t.as_ref().map(|(l, s)| ExhaustInput { label: l, src: s })
-        }
-        let (trace_i, metrics_i, lifecycle_i) =
-            (as_input(&trace), as_input(&metrics), as_input(&lifecycle));
-        diags.extend(check_exhaustiveness(
-            &ExhaustInput {
-                label: &rel_label(root, &tel_path),
-                src: &tel_src,
-            },
-            trace_i.as_ref(),
-            metrics_i.as_ref(),
-            lifecycle_i.as_ref(),
-        ));
     }
 
     let faults_path = root.join("crates/faults/src/lib.rs");
@@ -1671,13 +1462,6 @@ mod tests {
         let m = mask_source("fn f<'a>(s: &'a str) { let r = r#\"HashSet\"#; }");
         assert!(!m.code[0].contains("HashSet"));
         assert!(m.code[0].contains("fn f<'a>(s: &'a str)"));
-    }
-
-    #[test]
-    fn camel_to_snake_matches_trace_names() {
-        assert_eq!(camel_to_snake("LbFailover"), "lb_failover");
-        assert_eq!(camel_to_snake("TtlSweep"), "ttl_sweep");
-        assert_eq!(camel_to_snake("RequestSubmitted"), "request_submitted");
     }
 
     #[test]

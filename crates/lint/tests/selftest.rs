@@ -6,8 +6,8 @@
 use std::path::{Path, PathBuf};
 
 use urb_lint::{
-    check_exhaustiveness, check_fault_exhaustiveness, check_policy_exhaustiveness,
-    check_state_safety, lint_source, lint_workspace, ExhaustInput,
+    check_fault_exhaustiveness, check_policy_exhaustiveness, check_state_safety, lint_source,
+    lint_workspace, ExhaustInput,
 };
 
 fn fixture(rel: &str) -> String {
@@ -82,120 +82,6 @@ fn bare_and_unknown_pragmas_are_violations() {
         vec![("P001", 5), ("P001", 7)],
         "diagnostics: {diags:#?}"
     );
-}
-
-#[test]
-fn negative_control_missing_encode_arm_is_caught() {
-    let telemetry = fixture("exhaustiveness/telemetry_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_bad.rs",
-            src: &telemetry,
-        },
-        None,
-        None,
-        None,
-    );
-    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
-    assert_eq!(diags[0].rule, "E001");
-    assert!(diags[0].message.contains("DummyEvent"), "{}", diags[0]);
-    // Anchored at the variant's declaration line in the fixture.
-    assert_eq!(diags[0].line, 20, "{}", diags[0]);
-}
-
-#[test]
-fn trace_surface_gaps_are_caught_per_function() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let trace = fixture("exhaustiveness/trace_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        Some(&ExhaustInput {
-            label: "trace_bad.rs",
-            src: &trace,
-        }),
-        None,
-        None,
-    );
-    let e002: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.rule == "E002")
-        .map(|d| d.message.as_str())
-        .collect();
-    assert_eq!(e002.len(), 3, "kind, encoder and parser: {diags:#?}");
-    assert!(e002.iter().all(|m| m.contains("RebootBegun")), "{e002:#?}");
-}
-
-#[test]
-fn metrics_wildcard_and_missing_variant_are_caught() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let metrics = fixture("exhaustiveness/metrics_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        None,
-        Some(&ExhaustInput {
-            label: "metrics_bad.rs",
-            src: &metrics,
-        }),
-        None,
-    );
-    assert_eq!(diags.len(), 2, "missing RebootBegun + wildcard: {diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "E003"));
-    assert!(diags.iter().any(|d| d.message.contains("RebootBegun")));
-    assert!(diags.iter().any(|d| d.message.contains("wildcard")));
-}
-
-#[test]
-fn lifecycle_unhandled_level_is_caught() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let lifecycle = fixture("exhaustiveness/lifecycle_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        None,
-        None,
-        Some(&ExhaustInput {
-            label: "lifecycle_bad.rs",
-            src: &lifecycle,
-        }),
-    );
-    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
-    assert_eq!(diags[0].rule, "E004");
-    assert!(diags[0].message.contains("Process"), "{}", diags[0]);
-}
-
-#[test]
-fn good_exhaustiveness_fixtures_are_clean() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let trace = fixture("exhaustiveness/trace_good.rs");
-    let metrics = fixture("exhaustiveness/metrics_good.rs");
-    let lifecycle = fixture("exhaustiveness/lifecycle_good.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        Some(&ExhaustInput {
-            label: "trace_good.rs",
-            src: &trace,
-        }),
-        Some(&ExhaustInput {
-            label: "metrics_good.rs",
-            src: &metrics,
-        }),
-        Some(&ExhaustInput {
-            label: "lifecycle_good.rs",
-            src: &lifecycle,
-        }),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
 }
 
 #[test]

@@ -34,16 +34,6 @@ use crate::telemetry::{
 };
 use crate::time::{SimDuration, SimTime};
 
-/// Suffix for a [`RebootLevel`]-indexed counter family.
-pub fn level_suffix(level: RebootLevel) -> &'static str {
-    match level {
-        RebootLevel::Component => "component",
-        RebootLevel::Application => "application",
-        RebootLevel::Process => "process",
-        RebootLevel::OperatingSystem => "os",
-    }
-}
-
 /// Canonical counter name for a [`DecisionKind`].
 pub fn decision_counter(decision: DecisionKind) -> &'static str {
     decision_sym(decision).name()
@@ -359,7 +349,13 @@ impl MetricsRegistry {
 }
 
 impl TelemetrySink for MetricsRegistry {
-    /// The canonical event → metric fold.
+    /// The canonical event → metric fold. It names every variant, so a new
+    /// event fails to compile until it is folded; a wildcard arm that
+    /// would swallow it is a clippy error.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn on_event(&mut self, event: &TelemetryEvent) {
         match *event {
             TelemetryEvent::RequestSubmitted { .. } => self.inc_sym(symbol::REQUESTS_SUBMITTED),

@@ -19,23 +19,118 @@
 //! encoding ([`TelemetryEvent::encode_into`]), which makes a run's trace
 //! hashable: two runs are behaviourally identical iff their
 //! [`TraceHashSink`] digests match.
+//!
+//! The event set is declared once, in the `telemetry_schema!` table
+//! below: each variant with its tag byte and kind string, each field with
+//! its type, wire codec and JSONL key. The enum, the canonical encoding,
+//! the kind string and the JSONL writer and parser are all generated from
+//! that table, so they cannot drift apart. The four code enums
+//! ([`RebootLevel`], [`Disposition`], [`KillCause`], [`DecisionKind`])
+//! come from the smaller `code_enums!` table the same way.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
+use crate::trace::{json_bool, need_int, need_str, need_u64};
 
-/// How deep a reboot reaches (the recursive recovery policy's levels).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum RebootLevel {
-    /// Microreboot of one or more components (EJBs or the WAR).
-    Component,
-    /// Restart of the whole application inside the running server.
-    Application,
-    /// Restart of the JVM process (and the server in it).
-    Process,
-    /// Reboot of the operating system.
-    OperatingSystem,
+/// Declares each code enum once: its variants with their one-byte wire
+/// code (the discriminant) and their JSONL token. A repeated code is a
+/// compile error (E0081) and a repeated token an unreachable pattern.
+macro_rules! code_enums {
+    ($(
+        $(#[$meta:meta])*
+        pub enum $Enum:ident {
+            $( $(#[$vmeta:meta])* $Variant:ident = $code:literal $token:literal, )+
+        }
+    )+) => {$(
+        $(#[$meta])*
+        #[repr(u8)]
+        pub enum $Enum {
+            $( $(#[$vmeta])* $Variant = $code, )+
+        }
+
+        impl $Enum {
+            /// The variant's one-byte canonical wire code.
+            pub(crate) fn code(self) -> u8 {
+                self as u8
+            }
+
+            /// The variant's JSONL token.
+            pub fn token(self) -> &'static str {
+                match self {
+                    $($Enum::$Variant => $token,)+
+                }
+            }
+
+            /// Parses a JSONL token.
+            pub(crate) fn from_token(token: &str) -> Option<$Enum> {
+                match token {
+                    $($token => Some($Enum::$Variant),)+
+                    _ => None,
+                }
+            }
+        }
+    )+};
+}
+
+code_enums! {
+    /// How deep a reboot reaches (the recursive recovery policy's levels).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub enum RebootLevel {
+        /// Microreboot of one or more components (EJBs or the WAR).
+        Component = 0 "component",
+        /// Restart of the whole application inside the running server.
+        Application = 1 "application",
+        /// Restart of the JVM process (and the server in it).
+        Process = 2 "process",
+        /// Reboot of the operating system.
+        OperatingSystem = 3 "os",
+    }
+
+    /// How an accounted response left the server.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum Disposition {
+        /// 2xx (or an honoured `Retry-After`).
+        Ok = 0 "ok",
+        /// 4xx/5xx.
+        HttpError = 1 "http_error",
+        /// Connection-level failure or timeout.
+        NetworkError = 2 "network_error",
+    }
+
+    /// What killed an in-flight request.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum KillCause {
+        /// A microreboot's thread kill.
+        Microreboot = 0 "microreboot",
+        /// An app/process/OS restart's kill-everything.
+        Restart = 1 "restart",
+        /// The server's request-TTL lease sweep.
+        Ttl = 2 "ttl",
+    }
+
+    /// Which rung of the recursive policy the recovery manager chose.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum DecisionKind {
+        /// Microreboot of a diagnosed EJB.
+        EjbMicroreboot = 0 "ejb_microreboot",
+        /// Microreboot of the web component.
+        WarMicroreboot = 1 "war_microreboot",
+        /// Whole-application restart.
+        AppRestart = 2 "app_restart",
+        /// JVM process restart.
+        ProcessRestart = 3 "process_restart",
+        /// Operating-system reboot.
+        OsReboot = 4 "os_reboot",
+        /// Automated recovery exhausted; page a human.
+        NotifyHuman = 5 "notify_human",
+        /// Bulkhead admission isolation of a blast radius (no reboot yet).
+        Isolate = 6 "isolate",
+        /// Traffic failover away from the node before any reboot.
+        Failover = 7 "failover",
+    }
 }
 
 impl RebootLevel {
@@ -61,755 +156,470 @@ impl RebootLevel {
         }
         false
     }
+}
 
-    fn code(self) -> u8 {
-        match self {
-            RebootLevel::Component => 0,
-            RebootLevel::Application => 1,
-            RebootLevel::Process => 2,
-            RebootLevel::OperatingSystem => 3,
+/// Generates [`TelemetryEvent`] and its codecs from one table.
+///
+/// Each variant is `Name = tag "kind" { fields }`: the tag byte leads the
+/// canonical encoding and the kind string is the JSONL `"t"` value. Each
+/// field is `name: Type => codec "json_key"`, and its position is both
+/// its encoding order and its JSONL key order. The codecs:
+///
+/// | codec  | canonical bytes          | JSONL value          |
+/// |--------|--------------------------|----------------------|
+/// | `u64`  | 8 bytes, little-endian   | decimal integer      |
+/// | `u8`   | 1 byte                   | decimal integer      |
+/// | `bool` | 1 byte (0 or 1)          | `true` / `false`     |
+/// | `code` | 1 byte, the enum's code  | the enum's token     |
+/// | `us`   | microseconds as `u64`    | decimal microseconds |
+macro_rules! telemetry_schema {
+    ($(
+        $(#[$vmeta:meta])*
+        $Variant:ident = $tag:literal $kind:literal {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty => $codec:ident $key:literal, )+
         }
-    }
-}
-
-/// How an accounted response left the server.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Disposition {
-    /// 2xx (or an honoured `Retry-After`).
-    Ok,
-    /// 4xx/5xx.
-    HttpError,
-    /// Connection-level failure or timeout.
-    NetworkError,
-}
-
-impl Disposition {
-    fn code(self) -> u8 {
-        match self {
-            Disposition::Ok => 0,
-            Disposition::HttpError => 1,
-            Disposition::NetworkError => 2,
+    )+) => {
+        /// One structured event from anywhere in the stack.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum TelemetryEvent {
+            $( $(#[$vmeta])* $Variant { $( $(#[$fmeta])* $field: $ty, )+ }, )+
         }
-    }
-}
 
-/// What killed an in-flight request.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum KillCause {
-    /// A microreboot's thread kill.
-    Microreboot,
-    /// An app/process/OS restart's kill-everything.
-    Restart,
-    /// The server's request-TTL lease sweep.
-    Ttl,
-}
+        impl TelemetryEvent {
+            /// Every event kind string, in schema order.
+            pub const KINDS: &'static [&'static str] = &[$($kind),+];
 
-impl KillCause {
-    fn code(self) -> u8 {
-        match self {
-            KillCause::Microreboot => 0,
-            KillCause::Restart => 1,
-            KillCause::Ttl => 2,
+            /// Every tag byte, parallel to [`TelemetryEvent::KINDS`].
+            pub const TAGS: &'static [u8] = &[$($tag),+];
+
+            /// Appends the event's canonical byte encoding (tag byte, then
+            /// each field in schema order) to `buf`.
+            pub fn encode_into(&self, buf: &mut Vec<u8>) {
+                match *self {
+                    $(TelemetryEvent::$Variant { $($field),+ } => {
+                        buf.push($tag);
+                        $(telemetry_schema!(@encode $codec buf $field);)+
+                    })+
+                }
+            }
+
+            /// The snake_case kind name of the event — the JSONL `"t"` value.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TelemetryEvent::$Variant { .. } => $kind,)+
+                }
+            }
+
+            /// Appends the event as one JSON object (no trailing newline).
+            pub fn write_json(&self, out: &mut String) {
+                match *self {
+                    $(TelemetryEvent::$Variant { $($field),+ } => {
+                        out.push_str(concat!("{\"t\":\"", $kind, "\""));
+                        $(telemetry_schema!(@json $codec out $key $field);)+
+                    })+
+                }
+                out.push('}');
+            }
+
+            /// Parses one event line written by [`TelemetryEvent::write_json`].
+            pub fn from_json(line: &str) -> Result<TelemetryEvent, String> {
+                match need_str(line, "t")? {
+                    $($kind => Ok(TelemetryEvent::$Variant {
+                        $($field: telemetry_schema!(@parse $codec line $key $ty),)+
+                    }),)+
+                    other => Err(format!("unknown event type \"{other}\"")),
+                }
+            }
         }
-    }
+    };
+
+    (@encode u64 $buf:ident $v:ident) => { $buf.extend_from_slice(&($v as u64).to_le_bytes()) };
+    (@encode u8 $buf:ident $v:ident) => { $buf.push($v) };
+    (@encode bool $buf:ident $v:ident) => { $buf.push(u8::from($v)) };
+    (@encode code $buf:ident $v:ident) => { $buf.push($v.code()) };
+    (@encode us $buf:ident $v:ident) => { $buf.extend_from_slice(&$v.as_micros().to_le_bytes()) };
+
+    (@json code $out:ident $key:literal $v:ident) => {{
+        $out.push_str(concat!(",\"", $key, "\":\""));
+        $out.push_str($v.token());
+        $out.push('"');
+    }};
+    (@json us $out:ident $key:literal $v:ident) => {
+        telemetry_schema!(@json u64 $out $key ($v.as_micros()))
+    };
+    (@json $codec:ident $out:ident $key:literal $v:expr) => {{
+        // Formatting into a `String` cannot fail.
+        let _ = write!($out, concat!(",\"", $key, "\":{}"), $v);
+    }};
+
+    (@parse bool $line:ident $key:literal $ty:ty) => {
+        json_bool($line, $key).ok_or(concat!("missing bool field \"", $key, "\""))?
+    };
+    (@parse code $line:ident $key:literal $ty:ty) => {
+        <$ty>::from_token(need_str($line, $key)?).ok_or(concat!("bad ", $key))?
+    };
+    (@parse us $line:ident $key:literal $ty:ty) => { <$ty>::from_micros(need_u64($line, $key)?) };
+    (@parse $int:ident $line:ident $key:literal $ty:ty) => { need_int($line, $key)? };
 }
 
-/// Which rung of the recursive policy the recovery manager chose.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DecisionKind {
-    /// Microreboot of a diagnosed EJB.
-    EjbMicroreboot,
-    /// Microreboot of the web component.
-    WarMicroreboot,
-    /// Whole-application restart.
-    AppRestart,
-    /// JVM process restart.
-    ProcessRestart,
-    /// Operating-system reboot.
-    OsReboot,
-    /// Automated recovery exhausted; page a human.
-    NotifyHuman,
-    /// Bulkhead admission isolation of a blast radius (no reboot yet).
-    Isolate,
-    /// Traffic failover away from the node before any reboot.
-    Failover,
-}
-
-impl DecisionKind {
-    fn code(self) -> u8 {
-        match self {
-            DecisionKind::EjbMicroreboot => 0,
-            DecisionKind::WarMicroreboot => 1,
-            DecisionKind::AppRestart => 2,
-            DecisionKind::ProcessRestart => 3,
-            DecisionKind::OsReboot => 4,
-            DecisionKind::NotifyHuman => 5,
-            DecisionKind::Isolate => 6,
-            DecisionKind::Failover => 7,
-        }
-    }
-}
-
-/// One structured event from anywhere in the stack.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TelemetryEvent {
+telemetry_schema! {
     /// A request arrived at a node.
-    RequestSubmitted {
+    RequestSubmitted = 0 "request_submitted" {
         /// Node it arrived at.
-        node: usize,
+        node: usize => u64 "node",
         /// Request id.
-        req: u64,
+        req: u64 => u64 "req",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A response was accounted (at rejection, or at delivery).
-    RequestCompleted {
+    RequestCompleted = 1 "request_completed" {
         /// Serving node.
-        node: usize,
+        node: usize => u64 "node",
         /// Request id.
-        req: u64,
+        req: u64 => u64 "req",
         /// Outcome class.
-        disposition: Disposition,
+        disposition: Disposition => code "disposition",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A `Retry-After` was answered from a sentinel binding.
-    RetrySent {
+    RetrySent = 2 "retry_sent" {
         /// Serving node.
-        node: usize,
+        node: usize => u64 "node",
         /// Request id.
-        req: u64,
+        req: u64 => u64 "req",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// An in-flight request was killed.
-    RequestKilled {
+    RequestKilled = 3 "request_killed" {
         /// Node it died on.
-        node: usize,
+        node: usize => u64 "node",
         /// Request id.
-        req: u64,
+        req: u64 => u64 "req",
         /// Who killed it.
-        cause: KillCause,
+        cause: KillCause => code "cause",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A recovery action's destructive phase was scheduled/begun.
-    RebootBegun {
+    RebootBegun = 4 "reboot_begun" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Reboot depth.
-        level: RebootLevel,
+        level: RebootLevel => code "level",
         /// Component-group size (0 for coarse levels).
-        members: u32,
+        members: u32 => u64 "members",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A recovery action finished reinitializing.
-    RebootFinished {
+    RebootFinished = 5 "reboot_finished" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Reboot depth.
-        level: RebootLevel,
+        level: RebootLevel => code "level",
         /// Wall-clock (simulated) begin-to-done span.
-        duration: SimDuration,
+        duration: SimDuration => us "duration_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A client-side failure detector reported to the recovery manager.
-    DetectorFired {
+    DetectorFired = 6 "detector_fired" {
         /// Implicated node.
-        node: usize,
+        node: usize => u64 "node",
         /// Failing operation code.
-        op: u16,
+        op: u16 => u64 "op",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The recovery manager committed to an action.
-    RecoveryDecision {
+    RecoveryDecision = 7 "recovery_decision" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Chosen rung.
-        decision: DecisionKind,
+        decision: DecisionKind => code "decision",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The rejuvenation service polled a node's free memory.
-    RejuvenationTick {
+    RejuvenationTick = 8 "rejuvenation_tick" {
         /// Polled node.
-        node: usize,
+        node: usize => u64 "node",
         /// Free heap observed.
-        free_bytes: u64,
+        free_bytes: u64 => u64 "free_bytes",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The client emulator recorded one operation under an open action.
-    ClientOp {
+    ClientOp = 9 "client_op" {
         /// Owning user action.
-        action: u64,
+        action: u64 => u64 "action",
         /// Functional group code (see `workload::catalog`).
-        group: u8,
+        group: u8 => u8 "group",
         /// When the operation was first sent.
-        started_at: SimTime,
+        started_at: SimTime => us "started_us",
         /// When its response arrived.
-        finished_at: SimTime,
+        finished_at: SimTime => us "finished_us",
         /// Whether the detectors saw it succeed.
-        ok: bool,
-    },
+        ok: bool => bool "ok",
+    }
     /// The client emulator closed a user action (Taw attribution point).
-    ActionClosed {
+    ActionClosed = 10 "action_closed" {
         /// The closed action.
-        action: u64,
-    },
+        action: u64 => u64 "action",
+    }
     /// The recovery conductor deferred an action behind a conflicting
     /// in-flight recovery.
-    RecoveryQueued {
+    RecoveryQueued = 11 "recovery_queued" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Reboot depth of the deferred action.
-        level: RebootLevel,
+        level: RebootLevel => code "level",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The recovery conductor merged an action into an overlapping
     /// in-flight or queued recovery instead of running it twice.
-    RecoveryCoalesced {
+    RecoveryCoalesced = 12 "recovery_coalesced" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// Quarantine admission engaged (or its blast radius changed) on a
     /// node: requests whose call path touches the rebooting groups are
     /// shed at the door.
-    QuarantineOn {
+    QuarantineOn = 13 "quarantine_on" {
         /// Quarantining node.
-        node: usize,
+        node: usize => u64 "node",
         /// Components currently in the blast radius.
-        members: u32,
+        members: u32 => u64 "members",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// Quarantine admission disengaged on a node (no group rebooting).
-    QuarantineOff {
+    QuarantineOff = 14 "quarantine_off" {
         /// Node back to full admission.
-        node: usize,
+        node: usize => u64 "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The load balancer redirected a session-bound request away from its
     /// home node (Section 5.3 failover) because the home was draining or
     /// its blast radius covered the request's call path.
-    LbFailover {
+    LbFailover = 15 "lb_failover" {
         /// The session's home node the request was steered away from.
-        from: usize,
+        from: usize => u64 "from",
         /// The node that received it instead.
-        to: usize,
+        to: usize => u64 "to",
         /// The redirected request.
-        req: u64,
+        req: u64 => u64 "req",
         /// The failed-over session.
-        session: u64,
+        session: u64 => u64 "session",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The server's request-TTL lease sweep ran over a node that had hung
     /// requests: `reaped` leases had expired and were purged, `pending`
     /// hung requests remain scheduled for a later sweep.
-    TtlSweep {
+    TtlSweep = 16 "ttl_sweep" {
         /// Swept node.
-        node: usize,
+        node: usize => u64 "node",
         /// Hung requests whose lease has not yet expired.
-        pending: u32,
+        pending: u32 => u64 "pending",
         /// Hung requests purged by this sweep.
-        reaped: u32,
+        reaped: u32 => u64 "reaped",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The recovery manager's reboot-storm damper suppressed a repeated
     /// microreboot of the same component, deferring the decision until
     /// the exponential backoff expires.
-    StormDamped {
+    StormDamped = 17 "storm_damped" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Consecutive same-component microreboots observed so far.
-        strikes: u32,
+        strikes: u32 => u64 "strikes",
         /// How long the damper holds the next attempt back.
-        backoff: SimDuration,
+        backoff: SimDuration => us "backoff_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// Flap-driven escalation: a component failed again within the flap
     /// window after recovering, so the manager climbed the ladder instead
     /// of re-microrebooting forever.
-    FlapEscalated {
+    FlapEscalated = 18 "flap_escalated" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Recoveries of the flapping component inside the window.
-        flaps: u32,
+        flaps: u32 => u64 "flaps",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The convergence watchdog escalated an episode that exceeded its
     /// time bound without the failure reports going quiet.
-    WatchdogEscalated {
+    WatchdogEscalated = 19 "watchdog_escalated" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// How long the episode had been running.
-        elapsed: SimDuration,
+        elapsed: SimDuration => us "elapsed_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The policy ladder tried to escalate past `Human`: automated
     /// recovery is exhausted and the decision saturated in place.
-    EscalationSaturated {
+    EscalationSaturated = 20 "escalation_saturated" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A fault-injection campaign run finished (emitted by `urb-chaos`
     /// onto the campaign's own bus, one per scenario).
-    CampaignRunDone {
+    CampaignRunDone = 21 "campaign_run_done" {
         /// Zero-based run index within the campaign.
-        run: u64,
+        run: u64 => u64 "run",
         /// Per-run trace digest.
-        digest: u64,
+        digest: u64 => u64 "digest",
         /// Invariant violations observed in this run.
-        violations: u32,
-    },
+        violations: u32 => u64 "violations",
+    }
     /// A non-default recovery policy was armed on the recovery manager
     /// (emitted once, when telemetry attaches; the paper's ladder stays
     /// silent so default-config traces are unchanged).
-    PolicyArmed {
+    PolicyArmed = 22 "policy_armed" {
         /// The policy's registry code (`PolicyChoice::code`).
-        policy: u8,
+        policy: u8 => u8 "policy",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A circuit-breaker policy changed state on a node
     /// (0 = closed, 1 = open/tripped, 2 = half-open probe).
-    BreakerTransition {
+    BreakerTransition = 23 "breaker_transition" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// New breaker state code.
-        state: u8,
+        state: u8 => u8 "state",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A retry-budget policy deferred a recovery decision, betting the
     /// failure is transient and client retries will ride it out.
-    HedgeDeferred {
+    HedgeDeferred = 24 "hedge_deferred" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Deferrals left in the node's budget.
-        budget_left: u32,
+        budget_left: u32 => u64 "budget_left",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The recovery manager itself crashed mid-episode (ReHype-style):
     /// all volatile diagnosis state is lost.
-    RmCrashed {
+    RmCrashed = 25 "rm_crashed" {
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The recovery manager finished rebooting and resumed polling with a
     /// blank diagnosis slate.
-    RmRebooted {
+    RmRebooted = 26 "rm_rebooted" {
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A failover-first policy engaged: traffic is redirected away from
     /// the node before (instead of) rebooting anything on it.
-    FailoverEngaged {
+    FailoverEngaged = 27 "failover_engaged" {
         /// Node traffic is steered away from.
-        node: usize,
+        node: usize => u64 "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The performance-observability plane froze its pre-fault baseline:
     /// per-component latency quantiles and throughput are snapshotted and
     /// every later window is judged against them.
-    PerfBaselineFrozen {
+    PerfBaselineFrozen = 28 "perf_baseline_frozen" {
         /// Monitored node.
-        node: usize,
+        node: usize => u64 "node",
         /// How many components had enough samples to baseline.
-        components: u32,
+        components: u32 => u64 "components",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// The latency-anomaly (fail-slow) detector fired: a component's live
     /// sketch drifted beyond the configured multipliers of its baseline.
-    LatencyAnomaly {
+    LatencyAnomaly = 29 "latency_anomaly" {
         /// Implicated node.
-        node: usize,
+        node: usize => u64 "node",
         /// Operation code whose latency drifted.
-        op: u16,
+        op: u16 => u64 "op",
         /// Observed p95 over baseline p95, in permille (2500 = 2.5x).
-        ratio_permille: u32,
+        ratio_permille: u32 => u64 "ratio_permille",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// Post-recovery performance parity: the live quantiles and throughput
     /// returned within tolerance of the frozen baseline and stayed there.
-    ParityRestored {
+    ParityRestored = 30 "parity_restored" {
         /// Recovered node.
-        node: usize,
+        node: usize => u64 "node",
         /// How long parity took from the first anomaly.
-        after: SimDuration,
+        after: SimDuration => us "after_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A degraded-mode (fail-slow) fault was injected: the component keeps
     /// answering, just slowly.
-    DegradedInjected {
+    DegradedInjected = 31 "degraded_injected" {
         /// Target node.
-        node: usize,
+        node: usize => u64 "node",
         /// Service-time inflation, in permille (4000 = 4x).
-        factor_permille: u32,
+        factor_permille: u32 => u64 "factor_permille",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A replica brick of the external session store went down (crash or
     /// induced failure). Its stored objects are gone; surviving replicas
     /// keep serving.
-    BrickFailed {
+    BrickFailed = 32 "brick_failed" {
         /// Brick index within the store.
-        brick: usize,
+        brick: usize => u64 "brick",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A failed brick rejoined the store. It comes back empty and
     /// repopulates lazily as sessions are written.
-    BrickRestored {
+    BrickRestored = 33 "brick_restored" {
         /// Brick index within the store.
-        brick: usize,
+        brick: usize => u64 "brick",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A session's lease lapsed (naturally or via a lease storm) and the
     /// store dropped its state.
-    LeaseExpired {
+    LeaseExpired = 34 "lease_expired" {
         /// The expired session id.
-        session: u64,
+        session: u64 => u64 "session",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// A network fault was armed on a cluster edge (LB↔node or
     /// node↔store).
-    NetFaultInjected {
+    NetFaultInjected = 35 "net_fault_injected" {
         /// Edge code (0 = LB↔node, 1 = node↔store).
-        edge: u8,
+        edge: u8 => u64 "edge",
         /// Fault kind code (0 partition, 1 lossy, 2 delay, 3 dupe,
         /// 4 store-slow, 5 brick-corrupt).
-        kind: u8,
+        kind: u8 => u64 "kind",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime => us "at_us",
+    }
     /// All network faults on a cluster edge healed.
-    NetFaultHealed {
+    NetFaultHealed = 36 "net_fault_healed" {
         /// Edge code (0 = LB↔node, 1 = node↔store).
-        edge: u8,
+        edge: u8 => u64 "edge",
         /// When.
-        at: SimTime,
-    },
-}
-
-impl TelemetryEvent {
-    /// Appends the event's canonical byte encoding (tag byte, then each
-    /// field little-endian, times as microseconds) to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        fn put_u64(buf: &mut Vec<u8>, v: u64) {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_time(buf: &mut Vec<u8>, t: SimTime) {
-            put_u64(buf, t.as_micros());
-        }
-        match *self {
-            TelemetryEvent::RequestSubmitted { node, req, at } => {
-                buf.push(0);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                put_time(buf, at);
-            }
-            TelemetryEvent::RequestCompleted {
-                node,
-                req,
-                disposition,
-                at,
-            } => {
-                buf.push(1);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                buf.push(disposition.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RetrySent { node, req, at } => {
-                buf.push(2);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                put_time(buf, at);
-            }
-            TelemetryEvent::RequestKilled {
-                node,
-                req,
-                cause,
-                at,
-            } => {
-                buf.push(3);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                buf.push(cause.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RebootBegun {
-                node,
-                level,
-                members,
-                at,
-            } => {
-                buf.push(4);
-                put_u64(buf, node as u64);
-                buf.push(level.code());
-                put_u64(buf, u64::from(members));
-                put_time(buf, at);
-            }
-            TelemetryEvent::RebootFinished {
-                node,
-                level,
-                duration,
-                at,
-            } => {
-                buf.push(5);
-                put_u64(buf, node as u64);
-                buf.push(level.code());
-                put_u64(buf, duration.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::DetectorFired { node, op, at } => {
-                buf.push(6);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(op));
-                put_time(buf, at);
-            }
-            TelemetryEvent::RecoveryDecision { node, decision, at } => {
-                buf.push(7);
-                put_u64(buf, node as u64);
-                buf.push(decision.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RejuvenationTick {
-                node,
-                free_bytes,
-                at,
-            } => {
-                buf.push(8);
-                put_u64(buf, node as u64);
-                put_u64(buf, free_bytes);
-                put_time(buf, at);
-            }
-            TelemetryEvent::ClientOp {
-                action,
-                group,
-                started_at,
-                finished_at,
-                ok,
-            } => {
-                buf.push(9);
-                put_u64(buf, action);
-                buf.push(group);
-                put_time(buf, started_at);
-                put_time(buf, finished_at);
-                buf.push(u8::from(ok));
-            }
-            TelemetryEvent::ActionClosed { action } => {
-                buf.push(10);
-                put_u64(buf, action);
-            }
-            TelemetryEvent::RecoveryQueued { node, level, at } => {
-                buf.push(11);
-                put_u64(buf, node as u64);
-                buf.push(level.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RecoveryCoalesced { node, at } => {
-                buf.push(12);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::QuarantineOn { node, members, at } => {
-                buf.push(13);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(members));
-                put_time(buf, at);
-            }
-            TelemetryEvent::QuarantineOff { node, at } => {
-                buf.push(14);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::LbFailover {
-                from,
-                to,
-                req,
-                session,
-                at,
-            } => {
-                buf.push(15);
-                put_u64(buf, from as u64);
-                put_u64(buf, to as u64);
-                put_u64(buf, req);
-                put_u64(buf, session);
-                put_time(buf, at);
-            }
-            TelemetryEvent::TtlSweep {
-                node,
-                pending,
-                reaped,
-                at,
-            } => {
-                buf.push(16);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(pending));
-                put_u64(buf, u64::from(reaped));
-                put_time(buf, at);
-            }
-            TelemetryEvent::StormDamped {
-                node,
-                strikes,
-                backoff,
-                at,
-            } => {
-                buf.push(17);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(strikes));
-                put_u64(buf, backoff.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::FlapEscalated { node, flaps, at } => {
-                buf.push(18);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(flaps));
-                put_time(buf, at);
-            }
-            TelemetryEvent::WatchdogEscalated { node, elapsed, at } => {
-                buf.push(19);
-                put_u64(buf, node as u64);
-                put_u64(buf, elapsed.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::EscalationSaturated { node, at } => {
-                buf.push(20);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::CampaignRunDone {
-                run,
-                digest,
-                violations,
-            } => {
-                buf.push(21);
-                put_u64(buf, run);
-                put_u64(buf, digest);
-                put_u64(buf, u64::from(violations));
-            }
-            TelemetryEvent::PolicyArmed { policy, at } => {
-                buf.push(22);
-                buf.push(policy);
-                put_time(buf, at);
-            }
-            TelemetryEvent::BreakerTransition { node, state, at } => {
-                buf.push(23);
-                put_u64(buf, node as u64);
-                buf.push(state);
-                put_time(buf, at);
-            }
-            TelemetryEvent::HedgeDeferred {
-                node,
-                budget_left,
-                at,
-            } => {
-                buf.push(24);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(budget_left));
-                put_time(buf, at);
-            }
-            TelemetryEvent::RmCrashed { at } => {
-                buf.push(25);
-                put_time(buf, at);
-            }
-            TelemetryEvent::RmRebooted { at } => {
-                buf.push(26);
-                put_time(buf, at);
-            }
-            TelemetryEvent::FailoverEngaged { node, at } => {
-                buf.push(27);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::PerfBaselineFrozen {
-                node,
-                components,
-                at,
-            } => {
-                buf.push(28);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(components));
-                put_time(buf, at);
-            }
-            TelemetryEvent::LatencyAnomaly {
-                node,
-                op,
-                ratio_permille,
-                at,
-            } => {
-                buf.push(29);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(op));
-                put_u64(buf, u64::from(ratio_permille));
-                put_time(buf, at);
-            }
-            TelemetryEvent::ParityRestored { node, after, at } => {
-                buf.push(30);
-                put_u64(buf, node as u64);
-                put_u64(buf, after.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::DegradedInjected {
-                node,
-                factor_permille,
-                at,
-            } => {
-                buf.push(31);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(factor_permille));
-                put_time(buf, at);
-            }
-            TelemetryEvent::BrickFailed { brick, at } => {
-                buf.push(32);
-                put_u64(buf, brick as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::BrickRestored { brick, at } => {
-                buf.push(33);
-                put_u64(buf, brick as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::LeaseExpired { session, at } => {
-                buf.push(34);
-                put_u64(buf, session);
-                put_time(buf, at);
-            }
-            TelemetryEvent::NetFaultInjected { edge, kind, at } => {
-                buf.push(35);
-                put_u64(buf, u64::from(edge));
-                put_u64(buf, u64::from(kind));
-                put_time(buf, at);
-            }
-            TelemetryEvent::NetFaultHealed { edge, at } => {
-                buf.push(36);
-                put_u64(buf, u64::from(edge));
-                put_time(buf, at);
-            }
-        }
+        at: SimTime => us "at_us",
     }
 }
 
@@ -979,6 +789,8 @@ impl TelemetrySink for TraceHashSink {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn ev(req: u64) -> TelemetryEvent {
@@ -1311,6 +1123,15 @@ mod tests {
             ev.encode_into(&mut got);
             assert_eq!(got, want, "canonical encoding drifted for {ev:?}");
         }
+    }
+
+    #[test]
+    fn schema_tags_and_kinds_are_unique() {
+        assert_eq!(TelemetryEvent::TAGS.len(), TelemetryEvent::KINDS.len());
+        let tags: BTreeSet<u8> = TelemetryEvent::TAGS.iter().copied().collect();
+        assert_eq!(tags.len(), TelemetryEvent::TAGS.len(), "duplicate tag byte");
+        let kinds: BTreeSet<&str> = TelemetryEvent::KINDS.iter().copied().collect();
+        assert_eq!(kinds.len(), TelemetryEvent::KINDS.len(), "duplicate kind");
     }
 
     #[test]

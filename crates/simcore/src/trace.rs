@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use crate::telemetry::{
-    DecisionKind, Disposition, KillCause, RebootLevel, TelemetryEvent, TelemetrySink, TraceHashSink,
+    DecisionKind, Disposition, RebootLevel, TelemetryEvent, TelemetrySink, TraceHashSink,
 };
 use crate::time::{SimDuration, SimTime};
 
@@ -158,7 +158,7 @@ impl Trace {
             self.digest
         ));
         for ev in &self.events {
-            out.push_str(&event_to_json(ev));
+            ev.write_json(&mut out);
             out.push('\n');
         }
         for (i, ep) in assemble_episodes(&self.events).iter().enumerate() {
@@ -217,8 +217,10 @@ impl Trace {
                     }
                 }
                 "episode" => {}
-                _ => events
-                    .push(event_from_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?),
+                _ => events.push(
+                    TelemetryEvent::from_json(line)
+                        .map_err(|e| format!("line {}: {e}", lineno + 1))?,
+                ),
             }
         }
         let digest = digest.ok_or("trace has no meta line")?;
@@ -245,357 +247,10 @@ impl Trace {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL encoding of events
+// JSONL encoding and decoding. Event lines come from the schema table in
+// `crate::telemetry`; this module owns the meta and episode lines and the
+// key-scanning helpers the generated parser reads fields with.
 // ---------------------------------------------------------------------------
-
-fn level_str(level: RebootLevel) -> &'static str {
-    match level {
-        RebootLevel::Component => "component",
-        RebootLevel::Application => "application",
-        RebootLevel::Process => "process",
-        RebootLevel::OperatingSystem => "os",
-    }
-}
-
-fn level_from_str(s: &str) -> Option<RebootLevel> {
-    match s {
-        "component" => Some(RebootLevel::Component),
-        "application" => Some(RebootLevel::Application),
-        "process" => Some(RebootLevel::Process),
-        "os" => Some(RebootLevel::OperatingSystem),
-        _ => None,
-    }
-}
-
-fn disposition_str(d: Disposition) -> &'static str {
-    match d {
-        Disposition::Ok => "ok",
-        Disposition::HttpError => "http_error",
-        Disposition::NetworkError => "network_error",
-    }
-}
-
-fn disposition_from_str(s: &str) -> Option<Disposition> {
-    match s {
-        "ok" => Some(Disposition::Ok),
-        "http_error" => Some(Disposition::HttpError),
-        "network_error" => Some(Disposition::NetworkError),
-        _ => None,
-    }
-}
-
-fn cause_str(c: KillCause) -> &'static str {
-    match c {
-        KillCause::Microreboot => "microreboot",
-        KillCause::Restart => "restart",
-        KillCause::Ttl => "ttl",
-    }
-}
-
-fn cause_from_str(s: &str) -> Option<KillCause> {
-    match s {
-        "microreboot" => Some(KillCause::Microreboot),
-        "restart" => Some(KillCause::Restart),
-        "ttl" => Some(KillCause::Ttl),
-        _ => None,
-    }
-}
-
-fn decision_str(d: DecisionKind) -> &'static str {
-    match d {
-        DecisionKind::EjbMicroreboot => "ejb_microreboot",
-        DecisionKind::WarMicroreboot => "war_microreboot",
-        DecisionKind::AppRestart => "app_restart",
-        DecisionKind::ProcessRestart => "process_restart",
-        DecisionKind::OsReboot => "os_reboot",
-        DecisionKind::NotifyHuman => "notify_human",
-        DecisionKind::Isolate => "isolate",
-        DecisionKind::Failover => "failover",
-    }
-}
-
-fn decision_from_str(s: &str) -> Option<DecisionKind> {
-    match s {
-        "ejb_microreboot" => Some(DecisionKind::EjbMicroreboot),
-        "war_microreboot" => Some(DecisionKind::WarMicroreboot),
-        "app_restart" => Some(DecisionKind::AppRestart),
-        "process_restart" => Some(DecisionKind::ProcessRestart),
-        "os_reboot" => Some(DecisionKind::OsReboot),
-        "notify_human" => Some(DecisionKind::NotifyHuman),
-        "isolate" => Some(DecisionKind::Isolate),
-        "failover" => Some(DecisionKind::Failover),
-        _ => None,
-    }
-}
-
-/// The snake_case kind name of an event — the JSONL `"t"` value.
-pub fn event_kind(ev: &TelemetryEvent) -> &'static str {
-    match *ev {
-        TelemetryEvent::RequestSubmitted { .. } => "request_submitted",
-        TelemetryEvent::RequestCompleted { .. } => "request_completed",
-        TelemetryEvent::RetrySent { .. } => "retry_sent",
-        TelemetryEvent::RequestKilled { .. } => "request_killed",
-        TelemetryEvent::RebootBegun { .. } => "reboot_begun",
-        TelemetryEvent::RebootFinished { .. } => "reboot_finished",
-        TelemetryEvent::DetectorFired { .. } => "detector_fired",
-        TelemetryEvent::RecoveryDecision { .. } => "recovery_decision",
-        TelemetryEvent::RejuvenationTick { .. } => "rejuvenation_tick",
-        TelemetryEvent::ClientOp { .. } => "client_op",
-        TelemetryEvent::ActionClosed { .. } => "action_closed",
-        TelemetryEvent::RecoveryQueued { .. } => "recovery_queued",
-        TelemetryEvent::RecoveryCoalesced { .. } => "recovery_coalesced",
-        TelemetryEvent::QuarantineOn { .. } => "quarantine_on",
-        TelemetryEvent::QuarantineOff { .. } => "quarantine_off",
-        TelemetryEvent::LbFailover { .. } => "lb_failover",
-        TelemetryEvent::TtlSweep { .. } => "ttl_sweep",
-        TelemetryEvent::StormDamped { .. } => "storm_damped",
-        TelemetryEvent::FlapEscalated { .. } => "flap_escalated",
-        TelemetryEvent::WatchdogEscalated { .. } => "watchdog_escalated",
-        TelemetryEvent::EscalationSaturated { .. } => "escalation_saturated",
-        TelemetryEvent::CampaignRunDone { .. } => "campaign_run_done",
-        TelemetryEvent::PolicyArmed { .. } => "policy_armed",
-        TelemetryEvent::BreakerTransition { .. } => "breaker_transition",
-        TelemetryEvent::HedgeDeferred { .. } => "hedge_deferred",
-        TelemetryEvent::RmCrashed { .. } => "rm_crashed",
-        TelemetryEvent::RmRebooted { .. } => "rm_rebooted",
-        TelemetryEvent::FailoverEngaged { .. } => "failover_engaged",
-        TelemetryEvent::PerfBaselineFrozen { .. } => "perf_baseline_frozen",
-        TelemetryEvent::LatencyAnomaly { .. } => "latency_anomaly",
-        TelemetryEvent::ParityRestored { .. } => "parity_restored",
-        TelemetryEvent::DegradedInjected { .. } => "degraded_injected",
-        TelemetryEvent::BrickFailed { .. } => "brick_failed",
-        TelemetryEvent::BrickRestored { .. } => "brick_restored",
-        TelemetryEvent::LeaseExpired { .. } => "lease_expired",
-        TelemetryEvent::NetFaultInjected { .. } => "net_fault_injected",
-        TelemetryEvent::NetFaultHealed { .. } => "net_fault_healed",
-    }
-}
-
-/// Renders one event as a single JSON object line (no trailing newline).
-pub fn event_to_json(ev: &TelemetryEvent) -> String {
-    match *ev {
-        TelemetryEvent::RequestSubmitted { node, req, at } => format!(
-            "{{\"t\":\"request_submitted\",\"node\":{node},\"req\":{req},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RequestCompleted {
-            node,
-            req,
-            disposition,
-            at,
-        } => format!(
-            "{{\"t\":\"request_completed\",\"node\":{node},\"req\":{req},\"disposition\":\"{}\",\"at_us\":{}}}",
-            disposition_str(disposition),
-            at.as_micros()
-        ),
-        TelemetryEvent::RetrySent { node, req, at } => format!(
-            "{{\"t\":\"retry_sent\",\"node\":{node},\"req\":{req},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RequestKilled {
-            node,
-            req,
-            cause,
-            at,
-        } => format!(
-            "{{\"t\":\"request_killed\",\"node\":{node},\"req\":{req},\"cause\":\"{}\",\"at_us\":{}}}",
-            cause_str(cause),
-            at.as_micros()
-        ),
-        TelemetryEvent::RebootBegun {
-            node,
-            level,
-            members,
-            at,
-        } => format!(
-            "{{\"t\":\"reboot_begun\",\"node\":{node},\"level\":\"{}\",\"members\":{members},\"at_us\":{}}}",
-            level_str(level),
-            at.as_micros()
-        ),
-        TelemetryEvent::RebootFinished {
-            node,
-            level,
-            duration,
-            at,
-        } => format!(
-            "{{\"t\":\"reboot_finished\",\"node\":{node},\"level\":\"{}\",\"duration_us\":{},\"at_us\":{}}}",
-            level_str(level),
-            duration.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::DetectorFired { node, op, at } => format!(
-            "{{\"t\":\"detector_fired\",\"node\":{node},\"op\":{op},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RecoveryDecision { node, decision, at } => format!(
-            "{{\"t\":\"recovery_decision\",\"node\":{node},\"decision\":\"{}\",\"at_us\":{}}}",
-            decision_str(decision),
-            at.as_micros()
-        ),
-        TelemetryEvent::RejuvenationTick {
-            node,
-            free_bytes,
-            at,
-        } => format!(
-            "{{\"t\":\"rejuvenation_tick\",\"node\":{node},\"free_bytes\":{free_bytes},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::ClientOp {
-            action,
-            group,
-            started_at,
-            finished_at,
-            ok,
-        } => format!(
-            "{{\"t\":\"client_op\",\"action\":{action},\"group\":{group},\"started_us\":{},\"finished_us\":{},\"ok\":{ok}}}",
-            started_at.as_micros(),
-            finished_at.as_micros()
-        ),
-        TelemetryEvent::ActionClosed { action } => {
-            format!("{{\"t\":\"action_closed\",\"action\":{action}}}")
-        }
-        TelemetryEvent::RecoveryQueued { node, level, at } => format!(
-            "{{\"t\":\"recovery_queued\",\"node\":{node},\"level\":\"{}\",\"at_us\":{}}}",
-            level_str(level),
-            at.as_micros()
-        ),
-        TelemetryEvent::RecoveryCoalesced { node, at } => format!(
-            "{{\"t\":\"recovery_coalesced\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::QuarantineOn { node, members, at } => format!(
-            "{{\"t\":\"quarantine_on\",\"node\":{node},\"members\":{members},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::QuarantineOff { node, at } => format!(
-            "{{\"t\":\"quarantine_off\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::LbFailover {
-            from,
-            to,
-            req,
-            session,
-            at,
-        } => format!(
-            "{{\"t\":\"lb_failover\",\"from\":{from},\"to\":{to},\"req\":{req},\"session\":{session},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::TtlSweep {
-            node,
-            pending,
-            reaped,
-            at,
-        } => format!(
-            "{{\"t\":\"ttl_sweep\",\"node\":{node},\"pending\":{pending},\"reaped\":{reaped},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::StormDamped {
-            node,
-            strikes,
-            backoff,
-            at,
-        } => format!(
-            "{{\"t\":\"storm_damped\",\"node\":{node},\"strikes\":{strikes},\"backoff_us\":{},\"at_us\":{}}}",
-            backoff.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::FlapEscalated { node, flaps, at } => format!(
-            "{{\"t\":\"flap_escalated\",\"node\":{node},\"flaps\":{flaps},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::WatchdogEscalated { node, elapsed, at } => format!(
-            "{{\"t\":\"watchdog_escalated\",\"node\":{node},\"elapsed_us\":{},\"at_us\":{}}}",
-            elapsed.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::EscalationSaturated { node, at } => format!(
-            "{{\"t\":\"escalation_saturated\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::CampaignRunDone {
-            run,
-            digest,
-            violations,
-        } => format!("{{\"t\":\"campaign_run_done\",\"run\":{run},\"digest\":{digest},\"violations\":{violations}}}"),
-        TelemetryEvent::PolicyArmed { policy, at } => format!(
-            "{{\"t\":\"policy_armed\",\"policy\":{policy},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::BreakerTransition { node, state, at } => format!(
-            "{{\"t\":\"breaker_transition\",\"node\":{node},\"state\":{state},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::HedgeDeferred {
-            node,
-            budget_left,
-            at,
-        } => format!(
-            "{{\"t\":\"hedge_deferred\",\"node\":{node},\"budget_left\":{budget_left},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RmCrashed { at } => {
-            format!("{{\"t\":\"rm_crashed\",\"at_us\":{}}}", at.as_micros())
-        }
-        TelemetryEvent::RmRebooted { at } => {
-            format!("{{\"t\":\"rm_rebooted\",\"at_us\":{}}}", at.as_micros())
-        }
-        TelemetryEvent::FailoverEngaged { node, at } => format!(
-            "{{\"t\":\"failover_engaged\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::PerfBaselineFrozen {
-            node,
-            components,
-            at,
-        } => format!(
-            "{{\"t\":\"perf_baseline_frozen\",\"node\":{node},\"components\":{components},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::LatencyAnomaly {
-            node,
-            op,
-            ratio_permille,
-            at,
-        } => format!(
-            "{{\"t\":\"latency_anomaly\",\"node\":{node},\"op\":{op},\"ratio_permille\":{ratio_permille},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::ParityRestored { node, after, at } => format!(
-            "{{\"t\":\"parity_restored\",\"node\":{node},\"after_us\":{},\"at_us\":{}}}",
-            after.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::DegradedInjected {
-            node,
-            factor_permille,
-            at,
-        } => format!(
-            "{{\"t\":\"degraded_injected\",\"node\":{node},\"factor_permille\":{factor_permille},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::BrickFailed { brick, at } => format!(
-            "{{\"t\":\"brick_failed\",\"brick\":{brick},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::BrickRestored { brick, at } => format!(
-            "{{\"t\":\"brick_restored\",\"brick\":{brick},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::LeaseExpired { session, at } => format!(
-            "{{\"t\":\"lease_expired\",\"session\":{session},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::NetFaultInjected { edge, kind, at } => format!(
-            "{{\"t\":\"net_fault_injected\",\"edge\":{edge},\"kind\":{kind},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::NetFaultHealed { edge, at } => format!(
-            "{{\"t\":\"net_fault_healed\",\"edge\":{edge},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-    }
-}
 
 fn episode_to_json(index: usize, ep: &RecoveryEpisode) -> String {
     format!(
@@ -603,7 +258,7 @@ fn episode_to_json(index: usize, ep: &RecoveryEpisode) -> String {
          \"detector_fires\":{},\"queued\":{},\"coalesced\":{},\"begun_us\":{},\"finished_us\":{},\
          \"duration_us\":{},\"killed\":{},\"failed\":{},\"retried\":{}}}",
         ep.node,
-        level_str(ep.level),
+        ep.level.token(),
         ep.trigger(),
         ep.detector_fires,
         ep.queued,
@@ -617,14 +272,19 @@ fn episode_to_json(index: usize, ep: &RecoveryEpisode) -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// JSONL decoding (key-scanning parser over flat objects)
-// ---------------------------------------------------------------------------
-
+/// The text after the first `"key":` in `line`, leading spaces trimmed.
 fn find_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)?;
-    Some(line[idx + pat.len()..].trim_start())
+    let mut from = 0;
+    while let Some(off) = line[from..].find(key) {
+        let (start, end) = (from + off, from + off + key.len());
+        if line[..start].ends_with('"') {
+            if let Some(rest) = line[end..].strip_prefix("\":") {
+                return Some(rest.trim_start());
+            }
+        }
+        from = end;
+    }
+    None
 }
 
 fn json_u64(line: &str, key: &str) -> Option<u64> {
@@ -640,7 +300,7 @@ fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     rest.find('"').map(|end| &rest[..end])
 }
 
-fn json_bool(line: &str, key: &str) -> Option<bool> {
+pub(crate) fn json_bool(line: &str, key: &str) -> Option<bool> {
     let rest = find_key(line, key)?;
     if rest.starts_with("true") {
         Some(true)
@@ -651,207 +311,19 @@ fn json_bool(line: &str, key: &str) -> Option<bool> {
     }
 }
 
-fn need_u64(line: &str, key: &str) -> Result<u64, String> {
+pub(crate) fn need_u64(line: &str, key: &str) -> Result<u64, String> {
     json_u64(line, key).ok_or_else(|| format!("missing integer field \"{key}\""))
 }
 
-fn need_time(line: &str, key: &str) -> Result<SimTime, String> {
-    need_u64(line, key).map(SimTime::from_micros)
+/// A required integer field, narrowed to the field's type: a value that
+/// does not fit is a damaged trace, never silently truncated.
+pub(crate) fn need_int<T: TryFrom<u64>>(line: &str, key: &str) -> Result<T, String> {
+    let v = need_u64(line, key)?;
+    T::try_from(v).map_err(|_| format!("integer field \"{key}\" out of range: {v}"))
 }
 
-fn need_str<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
+pub(crate) fn need_str<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
     json_str(line, key).ok_or_else(|| format!("missing string field \"{key}\""))
-}
-
-/// Parses one event line written by [`event_to_json`].
-pub fn event_from_json(line: &str) -> Result<TelemetryEvent, String> {
-    let kind = need_str(line, "t")?;
-    let ev = match kind {
-        "request_submitted" => TelemetryEvent::RequestSubmitted {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            at: need_time(line, "at_us")?,
-        },
-        "request_completed" => TelemetryEvent::RequestCompleted {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            disposition: disposition_from_str(need_str(line, "disposition")?)
-                .ok_or("bad disposition")?,
-            at: need_time(line, "at_us")?,
-        },
-        "retry_sent" => TelemetryEvent::RetrySent {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            at: need_time(line, "at_us")?,
-        },
-        "request_killed" => TelemetryEvent::RequestKilled {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            cause: cause_from_str(need_str(line, "cause")?).ok_or("bad kill cause")?,
-            at: need_time(line, "at_us")?,
-        },
-        "reboot_begun" => TelemetryEvent::RebootBegun {
-            node: need_u64(line, "node")? as usize,
-            level: level_from_str(need_str(line, "level")?).ok_or("bad level")?,
-            members: need_u64(line, "members")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "reboot_finished" => TelemetryEvent::RebootFinished {
-            node: need_u64(line, "node")? as usize,
-            level: level_from_str(need_str(line, "level")?).ok_or("bad level")?,
-            duration: SimDuration::from_micros(need_u64(line, "duration_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "detector_fired" => TelemetryEvent::DetectorFired {
-            node: need_u64(line, "node")? as usize,
-            op: need_u64(line, "op")? as u16,
-            at: need_time(line, "at_us")?,
-        },
-        "recovery_decision" => TelemetryEvent::RecoveryDecision {
-            node: need_u64(line, "node")? as usize,
-            decision: decision_from_str(need_str(line, "decision")?).ok_or("bad decision")?,
-            at: need_time(line, "at_us")?,
-        },
-        "rejuvenation_tick" => TelemetryEvent::RejuvenationTick {
-            node: need_u64(line, "node")? as usize,
-            free_bytes: need_u64(line, "free_bytes")?,
-            at: need_time(line, "at_us")?,
-        },
-        "client_op" => TelemetryEvent::ClientOp {
-            action: need_u64(line, "action")?,
-            group: need_u64(line, "group")? as u8,
-            started_at: need_time(line, "started_us")?,
-            finished_at: need_time(line, "finished_us")?,
-            ok: json_bool(line, "ok").ok_or("missing bool field \"ok\"")?,
-        },
-        "action_closed" => TelemetryEvent::ActionClosed {
-            action: need_u64(line, "action")?,
-        },
-        "recovery_queued" => TelemetryEvent::RecoveryQueued {
-            node: need_u64(line, "node")? as usize,
-            level: level_from_str(need_str(line, "level")?).ok_or("bad level")?,
-            at: need_time(line, "at_us")?,
-        },
-        "recovery_coalesced" => TelemetryEvent::RecoveryCoalesced {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "quarantine_on" => TelemetryEvent::QuarantineOn {
-            node: need_u64(line, "node")? as usize,
-            members: need_u64(line, "members")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "quarantine_off" => TelemetryEvent::QuarantineOff {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "lb_failover" => TelemetryEvent::LbFailover {
-            from: need_u64(line, "from")? as usize,
-            to: need_u64(line, "to")? as usize,
-            req: need_u64(line, "req")?,
-            session: need_u64(line, "session")?,
-            at: need_time(line, "at_us")?,
-        },
-        "ttl_sweep" => TelemetryEvent::TtlSweep {
-            node: need_u64(line, "node")? as usize,
-            pending: need_u64(line, "pending")? as u32,
-            reaped: need_u64(line, "reaped")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "storm_damped" => TelemetryEvent::StormDamped {
-            node: need_u64(line, "node")? as usize,
-            strikes: need_u64(line, "strikes")? as u32,
-            backoff: SimDuration::from_micros(need_u64(line, "backoff_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "flap_escalated" => TelemetryEvent::FlapEscalated {
-            node: need_u64(line, "node")? as usize,
-            flaps: need_u64(line, "flaps")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "watchdog_escalated" => TelemetryEvent::WatchdogEscalated {
-            node: need_u64(line, "node")? as usize,
-            elapsed: SimDuration::from_micros(need_u64(line, "elapsed_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "escalation_saturated" => TelemetryEvent::EscalationSaturated {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "campaign_run_done" => TelemetryEvent::CampaignRunDone {
-            run: need_u64(line, "run")?,
-            digest: need_u64(line, "digest")?,
-            violations: need_u64(line, "violations")? as u32,
-        },
-        "policy_armed" => TelemetryEvent::PolicyArmed {
-            policy: need_u64(line, "policy")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        "breaker_transition" => TelemetryEvent::BreakerTransition {
-            node: need_u64(line, "node")? as usize,
-            state: need_u64(line, "state")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        "hedge_deferred" => TelemetryEvent::HedgeDeferred {
-            node: need_u64(line, "node")? as usize,
-            budget_left: need_u64(line, "budget_left")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "rm_crashed" => TelemetryEvent::RmCrashed {
-            at: need_time(line, "at_us")?,
-        },
-        "rm_rebooted" => TelemetryEvent::RmRebooted {
-            at: need_time(line, "at_us")?,
-        },
-        "failover_engaged" => TelemetryEvent::FailoverEngaged {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "perf_baseline_frozen" => TelemetryEvent::PerfBaselineFrozen {
-            node: need_u64(line, "node")? as usize,
-            components: need_u64(line, "components")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "latency_anomaly" => TelemetryEvent::LatencyAnomaly {
-            node: need_u64(line, "node")? as usize,
-            op: need_u64(line, "op")? as u16,
-            ratio_permille: need_u64(line, "ratio_permille")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "parity_restored" => TelemetryEvent::ParityRestored {
-            node: need_u64(line, "node")? as usize,
-            after: SimDuration::from_micros(need_u64(line, "after_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "degraded_injected" => TelemetryEvent::DegradedInjected {
-            node: need_u64(line, "node")? as usize,
-            factor_permille: need_u64(line, "factor_permille")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "brick_failed" => TelemetryEvent::BrickFailed {
-            brick: need_u64(line, "brick")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "brick_restored" => TelemetryEvent::BrickRestored {
-            brick: need_u64(line, "brick")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "lease_expired" => TelemetryEvent::LeaseExpired {
-            session: need_u64(line, "session")?,
-            at: need_time(line, "at_us")?,
-        },
-        "net_fault_injected" => TelemetryEvent::NetFaultInjected {
-            edge: need_u64(line, "edge")? as u8,
-            kind: need_u64(line, "kind")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        "net_fault_healed" => TelemetryEvent::NetFaultHealed {
-            edge: need_u64(line, "edge")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        other => return Err(format!("unknown event type \"{other}\"")),
-    };
-    Ok(ev)
 }
 
 // ---------------------------------------------------------------------------
@@ -932,9 +404,9 @@ impl RecoveryEpisode {
         match self.decision {
             Some(d) => {
                 if self.detector_fires > 0 {
-                    format!("detector x{} -> {}", self.detector_fires, decision_str(d))
+                    format!("detector x{} -> {}", self.detector_fires, d.token())
                 } else {
-                    decision_str(d).to_string()
+                    d.token().to_string()
                 }
             }
             None => "unattributed".to_string(),
@@ -1237,7 +709,7 @@ pub fn strict_attribution(events: &[TelemetryEvent]) -> StrictReport {
     };
 
     for (idx, ev) in events.iter().enumerate() {
-        let kind = event_kind(ev);
+        let kind = ev.kind();
         let slot: Option<Option<usize>> = match *ev {
             TelemetryEvent::RebootBegun {
                 node, level, at, ..
@@ -1415,7 +887,10 @@ pub fn taw_dip(timeline: &[SecondAvail], episode: &RecoveryEpisode) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::telemetry::KillCause;
 
     fn sample_events() -> Vec<TelemetryEvent> {
         let t = SimTime::from_secs;
@@ -1495,10 +970,10 @@ mod tests {
         assert_eq!(rec.events().len(), sample_events().len());
     }
 
-    #[test]
-    fn jsonl_round_trips_every_event_kind() {
+    /// One event of every kind, with distinctive field values.
+    fn every_kind() -> Vec<TelemetryEvent> {
         let t = SimTime::from_millis(1500);
-        let all = vec![
+        vec![
             TelemetryEvent::RequestSubmitted {
                 node: 2,
                 req: 9,
@@ -1647,10 +1122,102 @@ mod tests {
                 at: t,
             },
             TelemetryEvent::NetFaultHealed { edge: 0, at: t },
-        ];
+        ]
+    }
+
+    /// `Trace::to_jsonl` of [`every_kind`], byte for byte: the JSONL
+    /// format is the offline contract of every recorded trace.
+    const GOLDEN_EVERY_KIND: &str = r#"{"t":"meta","version":1,"events":37,"digest":"e92ea2b16a91b54d"}
+{"t":"request_submitted","node":2,"req":9,"at_us":1500000}
+{"t":"request_completed","node":1,"req":7,"disposition":"network_error","at_us":1500000}
+{"t":"retry_sent","node":0,"req":3,"at_us":1500000}
+{"t":"request_killed","node":0,"req":4,"cause":"ttl","at_us":1500000}
+{"t":"reboot_begun","node":0,"level":"component","members":2,"at_us":1500000}
+{"t":"reboot_finished","node":0,"level":"process","duration_us":5000,"at_us":1500000}
+{"t":"detector_fired","node":1,"op":6,"at_us":1500000}
+{"t":"recovery_decision","node":1,"decision":"notify_human","at_us":1500000}
+{"t":"rejuvenation_tick","node":0,"free_bytes":1024,"at_us":1500000}
+{"t":"client_op","action":11,"group":3,"started_us":1000000,"finished_us":1500000,"ok":true}
+{"t":"action_closed","action":11}
+{"t":"recovery_queued","node":0,"level":"application","at_us":1500000}
+{"t":"recovery_coalesced","node":0,"at_us":1500000}
+{"t":"quarantine_on","node":0,"members":3,"at_us":1500000}
+{"t":"quarantine_off","node":0,"at_us":1500000}
+{"t":"lb_failover","from":1,"to":2,"req":8,"session":40,"at_us":1500000}
+{"t":"ttl_sweep","node":0,"pending":2,"reaped":1,"at_us":1500000}
+{"t":"storm_damped","node":0,"strikes":3,"backoff_us":400000,"at_us":1500000}
+{"t":"flap_escalated","node":1,"flaps":2,"at_us":1500000}
+{"t":"watchdog_escalated","node":0,"elapsed_us":2500000,"at_us":1500000}
+{"t":"escalation_saturated","node":1,"at_us":1500000}
+{"t":"campaign_run_done","run":5,"digest":3735928559,"violations":0}
+{"t":"policy_armed","policy":2,"at_us":1500000}
+{"t":"breaker_transition","node":1,"state":1,"at_us":1500000}
+{"t":"hedge_deferred","node":0,"budget_left":3,"at_us":1500000}
+{"t":"rm_crashed","at_us":1500000}
+{"t":"rm_rebooted","at_us":1500000}
+{"t":"failover_engaged","node":1,"at_us":1500000}
+{"t":"perf_baseline_frozen","node":0,"components":6,"at_us":1500000}
+{"t":"latency_anomaly","node":0,"op":12,"ratio_permille":2500,"at_us":1500000}
+{"t":"parity_restored","node":0,"after_us":2500000,"at_us":1500000}
+{"t":"degraded_injected","node":1,"factor_permille":4000,"at_us":1500000}
+{"t":"brick_failed","brick":2,"at_us":1500000}
+{"t":"brick_restored","brick":2,"at_us":1500000}
+{"t":"lease_expired","session":41,"at_us":1500000}
+{"t":"net_fault_injected","edge":1,"kind":3,"at_us":1500000}
+{"t":"net_fault_healed","edge":0,"at_us":1500000}
+"#;
+
+    /// The meta line of [`GOLDEN_EVERY_KIND`] once kernel gauges are set.
+    const GOLDEN_META_WITH_GAUGES: &str = r#"{"t":"meta","version":1,"events":37,"digest":"e92ea2b16a91b54d","des_events_fired":123456,"des_queue_depth":7,"sim_micros":120000000}"#;
+
+    /// `Trace::to_jsonl` of [`sample_events`], whose one episode pins the
+    /// `episode` line.
+    const GOLDEN_SAMPLE: &str = r#"{"t":"meta","version":1,"events":12,"digest":"e96dc219092e4ba6"}
+{"t":"request_submitted","node":0,"req":1,"at_us":1000000}
+{"t":"detector_fired","node":0,"op":4,"at_us":2000000}
+{"t":"detector_fired","node":0,"op":4,"at_us":3000000}
+{"t":"recovery_decision","node":0,"decision":"ejb_microreboot","at_us":3000000}
+{"t":"quarantine_on","node":0,"members":2,"at_us":4000000}
+{"t":"reboot_begun","node":0,"level":"component","members":2,"at_us":4000000}
+{"t":"request_killed","node":0,"req":1,"cause":"microreboot","at_us":4000000}
+{"t":"reboot_finished","node":0,"level":"component","duration_us":2000000,"at_us":6000000}
+{"t":"quarantine_off","node":0,"at_us":6000000}
+{"t":"client_op","action":1,"group":2,"started_us":4000000,"finished_us":5000000,"ok":false}
+{"t":"client_op","action":1,"group":2,"started_us":7000000,"finished_us":8000000,"ok":true}
+{"t":"action_closed","action":1}
+{"t":"episode","index":0,"node":0,"level":"component","trigger":"detector x2 -> ejb_microreboot","detector_fires":2,"queued":false,"coalesced":0,"begun_us":4000000,"finished_us":6000000,"duration_us":2000000,"killed":1,"failed":0,"retried":0}
+"#;
+
+    #[test]
+    fn jsonl_text_is_pinned() {
+        let mut trace = Trace::from_events(every_kind());
+        assert_eq!(trace.to_jsonl(), GOLDEN_EVERY_KIND);
+        trace.kernel = Some(KernelGauges {
+            events_fired: 123_456,
+            queue_depth: 7,
+            sim_micros: 120_000_000,
+        });
+        let (_, body) = GOLDEN_EVERY_KIND.split_once('\n').expect("meta line");
+        assert_eq!(
+            trace.to_jsonl(),
+            format!("{GOLDEN_META_WITH_GAUGES}\n{body}")
+        );
+        assert_eq!(
+            Trace::from_events(sample_events()).to_jsonl(),
+            GOLDEN_SAMPLE
+        );
+    }
+
+    #[test]
+    fn jsonl_round_trips_every_event_kind() {
+        let all = every_kind();
+        let kinds: BTreeSet<&str> = all.iter().map(TelemetryEvent::kind).collect();
+        let schema: BTreeSet<&str> = TelemetryEvent::KINDS.iter().copied().collect();
+        assert_eq!(kinds, schema, "the sample must cover every schema kind");
         for ev in &all {
-            let line = event_to_json(ev);
-            let back = event_from_json(&line).expect("parse back");
+            let mut line = String::new();
+            ev.write_json(&mut line);
+            let back = TelemetryEvent::from_json(&line).expect("parse back");
             assert_eq!(*ev, back, "round-trip drift on {line}");
         }
         let mut trace = Trace::from_events(all);
@@ -1688,6 +1255,15 @@ mod tests {
             "{\"t\":\"meta\",\"version\":1,\"events\":1,\"digest\":\"00000000000000aa\"}\n\
              {\"t\":\"no_such_event\",\"action\":1}"
         )
+        .is_err());
+        // 2^32 + 1 does not fit the u32 `members` field: a damaged
+        // integer is an error, not a silent truncation to 1.
+        let damaged = "{\"t\":\"reboot_begun\",\"node\":0,\"level\":\"component\",\
+                       \"members\":4294967297,\"at_us\":5}";
+        assert!(TelemetryEvent::from_json(damaged).is_err());
+        assert!(Trace::parse(&format!(
+            "{{\"t\":\"meta\",\"version\":1,\"events\":1,\"digest\":\"00000000000000aa\"}}\n{damaged}"
+        ))
         .is_err());
     }
 
