@@ -9,6 +9,9 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> perfbench fidelity tests (pin the steady/campaign/trace digests)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

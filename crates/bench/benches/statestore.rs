@@ -8,7 +8,7 @@
 use bench::harness::Harness;
 use statestore::db::TableDef;
 use statestore::session::{SessionId, SessionObject, SessionStore};
-use statestore::{Database, FastS, Ssm, Value};
+use statestore::{Database, FastS, Match, Ssm, Value};
 
 fn bench_db(h: &mut Harness) {
     let mut db = Database::new(vec![TableDef {
@@ -36,10 +36,45 @@ fn bench_db(h: &mut Harness) {
         db.update(txn, "items", 1, &[(2, Value::Int(9))]).unwrap();
         db.rollback(txn).unwrap();
     });
+    let zero_value = Match::Eq {
+        column: 2,
+        value: 0,
+    };
     h.bench("db_scan_100", || {
-        db.scan("items", |r| r[2].as_int() == Some(0), 100)
-            .unwrap()
-            .len()
+        db.scan("items", zero_value, 100).unwrap().len()
+    });
+}
+
+/// Bid history lookups on a bids-shaped table: 15 K bids over 1 350
+/// items (≈11 bids per item, as in the eBid dataset), so a `limit 20`
+/// scan is never cut short and a filter scan would visit every row.
+fn bench_db_scan_eq(h: &mut Harness) {
+    const BIDS: i64 = 15_000;
+    const ITEMS: i64 = 1_350;
+    let mut db = Database::new(vec![TableDef {
+        name: "bids",
+        columns: &["id", "user_id", "item_id", "amount"],
+    }]);
+    let conn = db.open_conn();
+    let txn = db.begin(conn).unwrap();
+    for i in 1..=BIDS {
+        let row = vec![
+            Value::Int(i),
+            Value::Int(1 + i % 1_000),
+            Value::Int(1 + (i * 7_919) % ITEMS),
+            Value::Float(10.0),
+        ];
+        db.insert(txn, "bids", row).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let mut item = 0i64;
+    h.bench("db_scan_eq", || {
+        item = item % ITEMS + 1;
+        let history = Match::Eq {
+            column: 2,
+            value: item,
+        };
+        db.scan("bids", history, 20).unwrap().len()
     });
 }
 
@@ -72,6 +107,7 @@ fn bench_ssm(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new("statestore");
     bench_db(&mut h);
+    bench_db_scan_eq(&mut h);
     bench_fasts(&mut h);
     bench_ssm(&mut h);
     h.finish();

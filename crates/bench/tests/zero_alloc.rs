@@ -13,6 +13,8 @@ use std::cell::Cell;
 
 use bench::kernel::{self, BenchWorld, ChainEvent};
 use simcore::{EventQueue, QuantileSketch};
+use statestore::db::TableDef;
+use statestore::{Database, Match, Value};
 
 struct CountingAlloc;
 
@@ -104,5 +106,61 @@ fn warm_sketch_observe_allocates_nothing() {
         allocs, 0,
         "a warm sketch must absorb observations without heap allocation \
          ({allocs} allocations over 100000 observes, p95 {observed})"
+    );
+}
+
+/// The request path's database scans borrow the table: once a column's
+/// equality index exists, neither an equality scan nor a full scan
+/// touches the heap, however many rows they select.
+#[test]
+fn warm_db_scans_allocate_nothing() {
+    let mut db = Database::new(vec![TableDef {
+        name: "bids",
+        columns: &["id", "user_id", "item_id", "amount"],
+    }]);
+    let conn = db.open_conn();
+    let txn = db.begin(conn).unwrap();
+    for i in 1..=2_000i64 {
+        let row = vec![
+            Value::Int(i),
+            Value::Int(1 + i % 50),
+            Value::Int(1 + i % 200),
+            Value::Float(1.0),
+        ];
+        db.insert(txn, "bids", row).unwrap();
+    }
+    db.commit(txn).unwrap();
+    let history = |item| Match::Eq {
+        column: 2,
+        value: item,
+    };
+    // Warm: the first equality scan of the column builds its index.
+    assert_eq!(db.scan("bids", history(1), 20).unwrap().len(), 10);
+
+    let before = allocs();
+    let mut eq_selected = 0;
+    for item in 1..=250 {
+        let scan = db.scan("bids", history(item), 20).unwrap();
+        eq_selected += scan.len() + usize::from(scan.any_tainted());
+    }
+    let eq_allocs = allocs() - before;
+
+    let before = allocs();
+    let mut all_selected = 0;
+    for limit in [0, 20, 62, usize::MAX] {
+        let scan = db.scan("bids", Match::All, limit).unwrap();
+        all_selected += scan.len() + usize::from(scan.any_tainted());
+    }
+    let all_allocs = allocs() - before;
+
+    assert_eq!(eq_selected, 2_000, "10 bids on each of 200 items");
+    assert_eq!(all_selected, 82 + 2_000);
+    assert_eq!(
+        eq_allocs, 0,
+        "a warm equality scan must not allocate ({eq_allocs} allocations over 250 scans)"
+    );
+    assert_eq!(
+        all_allocs, 0,
+        "a full scan must not allocate ({all_allocs} allocations over 4 scans)"
     );
 }

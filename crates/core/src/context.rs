@@ -16,7 +16,7 @@ use components::registry::Resolved;
 use simcore::{SimDuration, SimTime};
 use statestore::db::Row;
 use statestore::session::{SessionId, SessionObject, StoreError};
-use statestore::{TxnId, Value};
+use statestore::{Match, TxnId, Value};
 
 use crate::app::CallError;
 use crate::calib;
@@ -323,34 +323,23 @@ impl<'a> CallContext<'a> {
         result.0.map_err(|_| self.exception(None))
     }
 
-    /// Scans a table (read-only), marking taint if any returned row is
-    /// corrupted.
-    pub fn db_scan(
-        &mut self,
-        table: &str,
-        filter: impl Fn(&Row) -> bool,
-        limit: usize,
-    ) -> Result<Vec<Row>, CallError> {
+    /// Scans a table (read-only) and returns the match count (at most
+    /// `limit`), marking taint if any selected row is corrupted.
+    pub fn db_scan(&mut self, table: &str, m: Match, limit: usize) -> Result<usize, CallError> {
         self.cpu += calib::DB_SCAN_COST;
-        let (rows, tainted) = {
-            let mut db = self.inner.db.borrow_mut();
-            let rows = db.scan(table, filter, limit);
-            match rows {
-                Ok(rows) => {
-                    let tainted = rows.iter().any(|r| {
-                        r[0].as_int()
-                            .map(|pk| db.is_tainted(table, pk))
-                            .unwrap_or(false)
-                    });
-                    (Ok(rows), tainted)
-                }
-                Err(e) => (Err(e), false),
+        let scanned = self
+            .inner
+            .db
+            .borrow_mut()
+            .scan(table, m, limit)
+            .map(|s| (s.len(), s.any_tainted()));
+        match scanned {
+            Ok((n, tainted)) => {
+                self.tainted |= tainted;
+                Ok(n)
             }
-        };
-        if tainted {
-            self.tainted = true;
+            Err(_) => Err(self.exception(None)),
         }
-        rows.map_err(|_| self.exception(None))
     }
 
     /// Returns the largest primary key in `table`.
@@ -430,8 +419,7 @@ impl<'a> CallContext<'a> {
         pk: i64,
         updates: &[(usize, Value)],
     ) -> Result<(), CallError> {
-        let updates = updates.to_vec();
-        let r = self.db_write(move |db, t| db.update(t, table, pk, &updates));
+        let r = self.db_write(|db, t| db.update(t, table, pk, updates));
         if r.is_ok() {
             self.note_autocommit(table, pk);
         }

@@ -10,7 +10,7 @@
 use components::descriptor::ComponentDescriptor;
 use simcore::SimDuration;
 use statestore::session::{CorruptKind, SessionObject};
-use statestore::Value;
+use statestore::{Match, Value};
 use urb_core::app::{Application, CallError};
 use urb_core::context::CallContext;
 use urb_core::request::{OpCode, Request};
@@ -22,6 +22,11 @@ use crate::schema::DatasetSpec;
 
 /// Largest user id the application accepts as plausible.
 const MAX_PLAUSIBLE_ID: i64 = 1 << 40;
+
+/// Selects the rows whose `column` holds `value` (an indexed scan).
+fn rows_where(column: usize, value: i64) -> Match {
+    Match::Eq { column, value }
+}
 
 /// The eBid application object.
 pub struct EBid {
@@ -232,13 +237,13 @@ impl Application for EBid {
             // ---- browsing ------------------------------------------------
             codes::BROWSE_CATEGORIES => ctx.call("BrowseCategories", "list", |ctx| {
                 ctx.call("Category", "load", |ctx| {
-                    ctx.db_scan("categories", |_| true, 20)?;
+                    ctx.db_scan("categories", Match::All, 20)?;
                     Ok(())
                 })
             }),
             codes::BROWSE_REGIONS => ctx.call("BrowseRegions", "list", |ctx| {
                 ctx.call("Region", "load", |ctx| {
-                    ctx.db_scan("regions", |_| true, 62)?;
+                    ctx.db_scan("regions", Match::All, 62)?;
                     Ok(())
                 })
             }),
@@ -251,7 +256,7 @@ impl Application for EBid {
                     Ok(())
                 })?;
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[3].as_int() == Some(arg), 25)?;
+                    ctx.db_scan("items", rows_where(3, arg), 25)?;
                     Ok(())
                 })
             }),
@@ -264,7 +269,7 @@ impl Application for EBid {
                     Ok(())
                 })?;
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[4].as_int() == Some(arg), 25)?;
+                    ctx.db_scan("items", rows_where(4, arg), 25)?;
                     Ok(())
                 })
             }),
@@ -312,13 +317,13 @@ impl Application for EBid {
                     }
                 })?;
                 ctx.call("UserFeedback", "load", |ctx| {
-                    ctx.db_scan("comments", |r| r[2].as_int() == Some(arg), 10)?;
+                    ctx.db_scan("comments", rows_where(2, arg), 10)?;
                     Ok(())
                 })
             }),
             codes::VIEW_BID_HISTORY => ctx.call("ViewBidHistory", "history", |ctx| {
                 ctx.call("Bid", "load", |ctx| {
-                    ctx.db_scan("bids", |r| r[2].as_int() == Some(arg), 20)?;
+                    ctx.db_scan("bids", rows_where(2, arg), 20)?;
                     Ok(())
                 })?;
                 ctx.call("Item", "load", |ctx| {
@@ -353,19 +358,19 @@ impl Application for EBid {
                         Ok(())
                     })?;
                     ctx.call("Item", "load", |ctx| {
-                        ctx.db_scan("items", |r| r[2].as_int() == Some(user), 10)?;
+                        ctx.db_scan("items", rows_where(2, user), 10)?;
                         Ok(())
                     })?;
                     ctx.call("Bid", "load", |ctx| {
-                        ctx.db_scan("bids", |r| r[1].as_int() == Some(user), 10)?;
+                        ctx.db_scan("bids", rows_where(1, user), 10)?;
                         Ok(())
                     })?;
                     ctx.call("BuyNow", "load", |ctx| {
-                        ctx.db_scan("buy_now", |r| r[1].as_int() == Some(user), 10)?;
+                        ctx.db_scan("buy_now", rows_where(1, user), 10)?;
                         Ok(())
                     })?;
                     ctx.call("UserFeedback", "load", |ctx| {
-                        ctx.db_scan("comments", |r| r[2].as_int() == Some(user), 10)?;
+                        ctx.db_scan("comments", rows_where(2, user), 10)?;
                         Ok(())
                     })
                 })
@@ -374,13 +379,13 @@ impl Application for EBid {
             // ---- search --------------------------------------------------
             codes::SEARCH_BY_CATEGORY => ctx.call("SearchItemsByCategory", "search", |ctx| {
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[3].as_int() == Some(arg), 25)?;
+                    ctx.db_scan("items", rows_where(3, arg), 25)?;
                     Ok(())
                 })
             }),
             codes::SEARCH_BY_REGION => ctx.call("SearchItemsByRegion", "search", |ctx| {
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[4].as_int() == Some(arg), 25)?;
+                    ctx.db_scan("items", rows_where(4, arg), 25)?;
                     Ok(())
                 })
             }),

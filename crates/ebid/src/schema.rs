@@ -230,6 +230,7 @@ impl DatasetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statestore::Match;
 
     #[test]
     fn default_spec_matches_paper_proportions() {
@@ -268,8 +269,7 @@ mod tests {
     fn item_references_stay_in_range() {
         let spec = DatasetSpec::tiny();
         let mut db = spec.generate(1);
-        let rows = db.scan("items", |_| true, usize::MAX).unwrap();
-        for r in rows {
+        for (_, r) in db.scan("items", Match::All, usize::MAX).unwrap() {
             let seller = r[2].as_int().unwrap();
             assert!((1..=spec.users).contains(&seller));
             let cat = r[3].as_int().unwrap();

@@ -23,8 +23,11 @@
 //! writes apply in place and append compensation records; commit discards
 //! the log, abort replays it backwards.
 
+use std::collections::btree_map::{self, Entry};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::Take;
+use std::slice;
 
 use simcore::SimDuration;
 
@@ -127,6 +130,15 @@ pub struct TableDef {
     pub columns: &'static [&'static str],
 }
 
+/// Which rows a [`Database::scan`] selects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Match {
+    /// Every row.
+    All,
+    /// Rows whose `column` holds [`Value::Int`]`(value)`.
+    Eq { column: usize, value: i64 },
+}
+
 #[derive(Clone, Debug)]
 struct Table {
     def: TableDef,
@@ -134,7 +146,151 @@ struct Table {
     /// Pre-corruption images of tainted rows, keyed by pk; presence marks
     /// the row as corrupted by out-of-band injection.
     tainted: BTreeMap<i64, Row>,
+    /// Equality indexes, one per column that a [`Match::Eq`] scan has
+    /// asked for; every row mutation keeps them exact.
+    indexes: Vec<Index>,
 }
+
+impl Table {
+    /// Writes `row` at `pk` (insert or overwrite), keeping the indexes
+    /// exact.
+    fn put(&mut self, pk: i64, row: Row) {
+        match self.rows.entry(pk) {
+            Entry::Occupied(mut e) => {
+                for ix in &mut self.indexes {
+                    ix.replace(pk, &e.get()[ix.column], &row[ix.column]);
+                }
+                e.insert(row);
+            }
+            Entry::Vacant(e) => {
+                for ix in &mut self.indexes {
+                    ix.add(pk, &row[ix.column]);
+                }
+                e.insert(row);
+            }
+        }
+    }
+
+    /// Removes the row at `pk`, keeping the indexes exact.
+    fn take(&mut self, pk: i64) -> Option<Row> {
+        let old = self.rows.remove(&pk)?;
+        for ix in &mut self.indexes {
+            ix.remove(pk, &old[ix.column]);
+        }
+        Some(old)
+    }
+
+    /// Returns the position of `column`'s index, building it on first use.
+    fn index_of(&mut self, column: usize) -> usize {
+        match self.indexes.iter().position(|ix| ix.column == column) {
+            Some(i) => i,
+            None => {
+                self.indexes.push(Index::build(column, &self.rows));
+                self.indexes.len() - 1
+            }
+        }
+    }
+}
+
+/// A secondary equality index over one integer column.
+#[derive(Clone, Debug)]
+struct Index {
+    column: usize,
+    /// Column value → ascending pks of the rows holding it. Rows whose
+    /// cell is not an `Int` are not indexed; no list is empty.
+    postings: BTreeMap<i64, Vec<i64>>,
+}
+
+impl Index {
+    fn build(column: usize, rows: &BTreeMap<i64, Row>) -> Index {
+        let mut ix = Index {
+            column,
+            postings: BTreeMap::new(),
+        };
+        for (pk, row) in rows {
+            ix.add(*pk, &row[column]);
+        }
+        ix
+    }
+
+    fn add(&mut self, pk: i64, cell: &Value) {
+        let Some(v) = cell.as_int() else { return };
+        let pks = self.postings.entry(v).or_default();
+        // New rows almost always take the largest pk.
+        match pks.last() {
+            Some(&last) if last >= pk => {
+                if let Err(i) = pks.binary_search(&pk) {
+                    pks.insert(i, pk);
+                }
+            }
+            _ => pks.push(pk),
+        }
+    }
+
+    fn remove(&mut self, pk: i64, cell: &Value) {
+        let Some(v) = cell.as_int() else { return };
+        if let Some(pks) = self.postings.get_mut(&v) {
+            if let Ok(i) = pks.binary_search(&pk) {
+                pks.remove(i);
+            }
+            if pks.is_empty() {
+                self.postings.remove(&v);
+            }
+        }
+    }
+
+    fn replace(&mut self, pk: i64, old: &Value, new: &Value) {
+        if old.as_int() != new.as_int() {
+            self.remove(pk, old);
+            self.add(pk, new);
+        }
+    }
+}
+
+/// The rows selected by a [`Database::scan`], in primary-key order.
+///
+/// Borrows the table: nothing is cloned. Yields `(pk, row)`; its
+/// [`ExactSizeIterator::len`] is the match count (capped by the limit).
+#[derive(Clone)]
+pub struct Scan<'a> {
+    rows: &'a BTreeMap<i64, Row>,
+    tainted: &'a BTreeMap<i64, Row>,
+    cursor: Cursor<'a>,
+}
+
+#[derive(Clone)]
+enum Cursor<'a> {
+    All(Take<btree_map::Iter<'a, i64, Row>>),
+    Eq(slice::Iter<'a, i64>),
+}
+
+impl Scan<'_> {
+    /// Returns true if any selected row is marked corrupted by injection
+    /// (see [`Database::is_tainted`]).
+    pub fn any_tainted(&self) -> bool {
+        !self.tainted.is_empty() && self.clone().any(|(pk, _)| self.tainted.contains_key(&pk))
+    }
+}
+
+impl<'a> Iterator for Scan<'a> {
+    type Item = (i64, &'a Row);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.cursor {
+            Cursor::All(it) => it.next().map(|(pk, row)| (*pk, row)),
+            Cursor::Eq(it) => it.next().map(|pk| (*pk, &self.rows[pk])),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.cursor {
+            Cursor::All(it) => it.size_hint(),
+            Cursor::Eq(it) => it.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Scan<'_> {}
 
 enum Undo {
     Insert { table: usize, pk: i64 },
@@ -212,6 +368,7 @@ impl Database {
                 def,
                 rows: BTreeMap::new(),
                 tainted: BTreeMap::new(),
+                indexes: Vec::new(),
             });
         }
         Database {
@@ -359,10 +516,10 @@ impl Database {
         for undo in t.undo.into_iter().rev() {
             match undo {
                 Undo::Insert { table, pk } => {
-                    self.tables[table].rows.remove(&pk);
+                    self.tables[table].take(pk);
                 }
                 Undo::Update { table, pk, old } | Undo::Delete { table, pk, old } => {
-                    self.tables[table].rows.insert(pk, old);
+                    self.tables[table].put(pk, old);
                 }
             }
         }
@@ -412,7 +569,7 @@ impl Database {
             });
         }
         self.lock(txn, ti, pk)?;
-        self.tables[ti].rows.insert(pk, row);
+        self.tables[ti].put(pk, row);
         self.txns
             .get_mut(&txn.0)
             .ok_or(DbError::NoSuchTxn)?
@@ -461,13 +618,14 @@ impl Database {
             });
         }
         self.lock(txn, ti, pk)?;
-        let row = self.tables[ti]
-            .rows
-            .get_mut(&pk)
-            .expect("existence checked above");
+        let t = &mut self.tables[ti];
+        let row = t.rows.get_mut(&pk).expect("existence checked above");
         let old = row.clone();
         for (col, v) in updates {
             row[*col] = v.clone();
+        }
+        for ix in &mut t.indexes {
+            ix.replace(pk, &old[ix.column], &row[ix.column]);
         }
         self.txns
             .get_mut(&txn.0)
@@ -488,10 +646,7 @@ impl Database {
             });
         }
         self.lock(txn, ti, pk)?;
-        let old = self.tables[ti]
-            .rows
-            .remove(&pk)
-            .expect("existence checked above");
+        let old = self.tables[ti].take(pk).expect("existence checked above");
         self.txns
             .get_mut(&txn.0)
             .ok_or(DbError::NoSuchTxn)?
@@ -501,22 +656,38 @@ impl Database {
         Ok(())
     }
 
-    /// Scans a table in primary-key order, returning rows matching `filter`
-    /// up to `limit`.
-    pub fn scan<F>(&mut self, table: &str, filter: F, limit: usize) -> Result<Vec<Row>, DbError>
-    where
-        F: Fn(&Row) -> bool,
-    {
-        let t = self.table(table)?;
-        let out: Vec<Row> = t
-            .rows
-            .values()
-            .filter(|r| filter(r))
-            .take(limit)
-            .cloned()
-            .collect();
-        self.stats.reads += out.len() as u64 + 1;
-        Ok(out)
+    /// Scans a table in primary-key order, selecting the first `limit`
+    /// rows that `m` matches; counts `1 +` the selected rows as reads.
+    ///
+    /// A [`Match::Eq`] scan reads the column's equality index, which the
+    /// first such scan of that column builds.
+    pub fn scan(&mut self, table: &str, m: Match, limit: usize) -> Result<Scan<'_>, DbError> {
+        let ti = self.table_idx(table)?;
+        let t = &mut self.tables[ti];
+        let cursor = match m {
+            Match::All => Cursor::All(t.rows.iter().take(limit)),
+            Match::Eq { column, value } => {
+                if column >= t.def.columns.len() {
+                    return Err(DbError::NoSuchColumn {
+                        table: table.to_string(),
+                        column,
+                    });
+                }
+                let i = t.index_of(column);
+                let pks = t.indexes[i]
+                    .postings
+                    .get(&value)
+                    .map_or(&[][..], Vec::as_slice);
+                Cursor::Eq(pks[..pks.len().min(limit)].iter())
+            }
+        };
+        let scan = Scan {
+            rows: &t.rows,
+            tainted: &t.tainted,
+            cursor,
+        };
+        self.stats.reads += scan.len() as u64 + 1;
+        Ok(scan)
     }
 
     /// Returns the largest primary key in `table`, or `None` when empty.
@@ -575,8 +746,12 @@ impl Database {
             table: table.to_string(),
             pk,
         })?;
-        t.tainted.entry(pk).or_insert_with(|| row.clone());
+        let before = row.clone();
         row[column] = value;
+        for ix in &mut t.indexes {
+            ix.replace(pk, &before[ix.column], &row[ix.column]);
+        }
+        t.tainted.entry(pk).or_insert(before);
         Ok(())
     }
 
@@ -599,12 +774,14 @@ impl Database {
         }
         let row_a = t.rows[&a].clone();
         let row_b = t.rows[&b].clone();
-        t.tainted.entry(a).or_insert_with(|| row_a.clone());
-        t.tainted.entry(b).or_insert_with(|| row_b.clone());
-        let ra = t.rows.get_mut(&a).expect("checked above");
-        ra[1..].clone_from_slice(&row_b[1..]);
-        let rb = t.rows.get_mut(&b).expect("checked above");
-        rb[1..].clone_from_slice(&row_a[1..]);
+        let mut new_a = row_a.clone();
+        new_a[1..].clone_from_slice(&row_b[1..]);
+        let mut new_b = row_b.clone();
+        new_b[1..].clone_from_slice(&row_a[1..]);
+        t.tainted.entry(a).or_insert(row_a);
+        t.tainted.entry(b).or_insert(row_b);
+        t.put(a, new_a);
+        t.put(b, new_b);
         Ok(())
     }
 
@@ -659,7 +836,7 @@ impl Database {
         let mut repaired = 0;
         for t in &mut self.tables {
             for (pk, old) in std::mem::take(&mut t.tainted) {
-                t.rows.insert(pk, old);
+                t.put(pk, old);
                 repaired += 1;
             }
         }
@@ -906,13 +1083,23 @@ mod tests {
             .unwrap();
         }
         db.commit(txn).unwrap();
-        let rows = db
-            .scan("users", |r| r[2].as_int().unwrap_or(0) >= 5, 3)
-            .unwrap();
+        let pks = |db: &mut Database, m, limit| -> Vec<i64> {
+            db.scan("users", m, limit)
+                .unwrap()
+                .map(|(pk, _)| pk)
+                .collect()
+        };
+        let rated_10 = Match::Eq {
+            column: 2,
+            value: 10,
+        };
         // Alice (pk 1, rating 10) matches too; scan is in pk order.
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0][0], Value::Int(1));
-        assert_eq!(rows[1][0], Value::Int(5));
+        assert_eq!(pks(&mut db, rated_10, 5), [1, 10]);
+        assert_eq!(pks(&mut db, rated_10, 1), [1]);
+        assert_eq!(pks(&mut db, Match::All, 3), [1, 2, 3]);
+        let reads = db.stats().reads;
+        assert_eq!(db.scan("users", rated_10, 5).unwrap().len(), 2);
+        assert_eq!(db.stats().reads, reads + 3, "1 + selected rows");
         assert_eq!(db.max_pk("users").unwrap(), Some(10));
     }
 

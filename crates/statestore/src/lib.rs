@@ -34,7 +34,7 @@ pub mod session;
 pub mod ssm;
 pub mod value;
 
-pub use db::{Database, DbError, TxnId};
+pub use db::{Database, DbError, Match, TxnId};
 pub use fasts::FastS;
 pub use lease::{LeaseId, LeaseTable};
 pub use ledger::{shared_ledger, IntegrityLedger, SharedLedger};

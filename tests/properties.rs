@@ -5,10 +5,10 @@
 //! seeds, so a failure here is always reproducible with no shrink step.
 
 use microreboot::simcore::{EventQueue, SimDuration, SimRng, SimTime};
-use microreboot::statestore::db::TableDef;
+use microreboot::statestore::db::{Row, TableDef};
 use microreboot::statestore::lease::LeaseTable;
 use microreboot::statestore::session::{SessionId, SessionObject, SessionStore};
-use microreboot::statestore::{Database, FastS, Ssm, Value};
+use microreboot::statestore::{Database, DbError, FastS, Match, Ssm, Value};
 
 const CASES: u64 = 64;
 
@@ -45,6 +45,14 @@ fn fresh_db() -> Database {
         name: "t",
         columns: &["id", "v"],
     }])
+}
+
+/// Every row of table `t`, in pk order.
+fn snapshot(db: &mut Database) -> Vec<(i64, Row)> {
+    db.scan("t", Match::All, usize::MAX)
+        .unwrap()
+        .map(|(pk, row)| (pk, row.clone()))
+        .collect()
 }
 
 /// Aborted transactions leave no trace: the table contents equal the
@@ -99,8 +107,8 @@ fn db_aborted_txns_leave_no_trace() {
             }
         }
         // Compare full table contents.
-        let rows_real = real.scan("t", |_| true, usize::MAX).unwrap();
-        let rows_model = model.scan("t", |_| true, usize::MAX).unwrap();
+        let rows_real = snapshot(&mut real);
+        let rows_model = snapshot(&mut model);
         assert_eq!(rows_real, rows_model, "case {case}");
     }
 }
@@ -124,7 +132,7 @@ fn db_crash_preserves_committed_state() {
             let _ = db.insert(txn, "t", vec![Value::Int(*pk), Value::Int(*v)]);
         }
         db.commit(txn).unwrap();
-        let snapshot = db.scan("t", |_| true, usize::MAX).unwrap();
+        let kept = snapshot(&mut db);
 
         let conn2 = db.open_conn();
         let txn2 = db.begin(conn2).unwrap();
@@ -133,11 +141,7 @@ fn db_crash_preserves_committed_state() {
             let _ = db.update(txn2, "t", *pk, &[(1, Value::Int(v ^ 1))]);
         }
         db.crash();
-        assert_eq!(
-            db.scan("t", |_| true, usize::MAX).unwrap(),
-            snapshot,
-            "case {case}"
-        );
+        assert_eq!(snapshot(&mut db), kept, "case {case}");
         assert_eq!(db.active_txns(), 0);
     }
 }
@@ -164,14 +168,168 @@ fn db_repair_is_exact() {
                 .unwrap();
         }
         db.commit(txn).unwrap();
-        let before = db.scan("t", |_| true, usize::MAX).unwrap();
+        let before = snapshot(&mut db);
         for pk in &victims {
             let _ = db.corrupt_cell("t", *pk, 1, Value::Null);
         }
         db.repair();
         assert!(db.is_consistent(), "case {case}");
-        assert_eq!(db.scan("t", |_| true, usize::MAX).unwrap(), before);
+        assert_eq!(snapshot(&mut db), before);
     }
+}
+
+/// Indexed columns of [`index_db`]'s table; their values are drawn from
+/// `0..INDEX_DOMAIN`.
+const INDEXED: [usize; 2] = [1, 2];
+const INDEX_DOMAIN: u64 = 4;
+
+fn index_db() -> Database {
+    Database::new(vec![TableDef {
+        name: "t",
+        columns: &["id", "a", "b"],
+    }])
+}
+
+/// Checks every `Match::Eq` scan over the small domain (plus absent
+/// values) against a pk-order filter of the whole table: the same pks,
+/// the same taint, and `1 + n` reads.
+fn check_eq_scans(db: &mut Database, context: &str) {
+    let rows = snapshot(db);
+    for column in INDEXED {
+        for value in -1..=INDEX_DOMAIN as i64 {
+            for limit in [0, 1, 2, 5, usize::MAX] {
+                let expected: Vec<i64> = rows
+                    .iter()
+                    .filter(|(_, row)| row[column].as_int() == Some(value))
+                    .map(|(pk, _)| *pk)
+                    .take(limit)
+                    .collect();
+                let expected_taint = expected.iter().any(|pk| db.is_tainted("t", *pk));
+                let reads = db.stats().reads;
+                let scan = db.scan("t", Match::Eq { column, value }, limit).unwrap();
+                assert_eq!(scan.len(), expected.len(), "{context}");
+                assert_eq!(scan.any_tainted(), expected_taint, "{context}");
+                let got: Vec<i64> = scan.map(|(pk, _)| pk).collect();
+                assert_eq!(
+                    got, expected,
+                    "{context} col {column} = {value} limit {limit}"
+                );
+                assert_eq!(
+                    db.stats().reads,
+                    reads + expected.len() as u64 + 1,
+                    "{context}"
+                );
+            }
+        }
+    }
+}
+
+/// Equality scans agree with a brute-force filter after every step of a
+/// random sequence of transactional writes, commits, rollbacks, crashes,
+/// corruption, taint marks and repairs. One database is checked from the
+/// start (index built on the empty table); a twin is first checked at a
+/// random step, so its index is built from whatever state that step
+/// left.
+#[test]
+fn db_eq_scan_matches_filter() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x8000 + case);
+        let first_check = rng.uniform_u64(40);
+        let mut eager = index_db();
+        let mut lazy = index_db();
+        let mut conns = [eager.open_conn(), lazy.open_conn()];
+        let mut txns = [None, None];
+        for step in 0..60 {
+            let pk = rng.uniform_u64(24) as i64;
+            let other = rng.uniform_u64(24) as i64;
+            let column = INDEXED[rng.uniform_usize(INDEXED.len())];
+            let v = Value::Int(rng.uniform_u64(INDEX_DOMAIN) as i64);
+            let w = Value::Int(rng.uniform_u64(INDEX_DOMAIN) as i64);
+            let op = rng.uniform_u64(12);
+            let coin = rng.chance(0.5);
+            for (i, db) in [&mut eager, &mut lazy].into_iter().enumerate() {
+                // Errors (duplicate keys, missing rows) are part of the
+                // sequence; both twins see the same ones.
+                let txn = match txns[i] {
+                    Some(t) => t,
+                    None => {
+                        let t = db.begin(conns[i]).unwrap();
+                        txns[i] = Some(t);
+                        t
+                    }
+                };
+                match op {
+                    0..=2 => {
+                        let row = vec![Value::Int(pk), v.clone(), w.clone()];
+                        let _ = db.insert(txn, "t", row);
+                    }
+                    3 | 4 => {
+                        let _ = db.update(txn, "t", pk, &[(column, v.clone())]);
+                    }
+                    5 => {
+                        let _ = db.delete(txn, "t", pk);
+                    }
+                    6 => {
+                        db.commit(txn).unwrap();
+                        txns[i] = None;
+                    }
+                    7 => {
+                        db.rollback(txn).unwrap();
+                        txns[i] = None;
+                    }
+                    8 => {
+                        db.crash();
+                        conns[i] = db.open_conn();
+                        txns[i] = None;
+                    }
+                    9 => {
+                        let cell = if coin { v.clone() } else { Value::Null };
+                        let _ = db.corrupt_cell("t", pk, column, cell);
+                    }
+                    10 => {
+                        let _ = db.corrupt_swap_rows("t", pk, other);
+                    }
+                    _ => {
+                        if coin {
+                            let _ = db.taint_row("t", pk);
+                        } else {
+                            db.repair();
+                        }
+                    }
+                }
+            }
+            assert_eq!(snapshot(&mut eager), snapshot(&mut lazy), "case {case}");
+            check_eq_scans(&mut eager, &format!("eager case {case} step {step}"));
+            if step >= first_check {
+                check_eq_scans(&mut lazy, &format!("lazy case {case} step {step}"));
+            }
+        }
+    }
+}
+
+/// An equality scan on a column the table does not have is an error,
+/// not a panic.
+#[test]
+fn db_eq_scan_rejects_unknown_column() {
+    let mut db = index_db();
+    let err = db
+        .scan(
+            "t",
+            Match::Eq {
+                column: 3,
+                value: 0,
+            },
+            10,
+        )
+        .err()
+        .unwrap();
+    assert_eq!(
+        err,
+        DbError::NoSuchColumn {
+            table: "t".into(),
+            column: 3
+        }
+    );
 }
 
 /// The event queue fires events in nondecreasing time order, with
