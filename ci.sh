@@ -38,8 +38,14 @@ cargo run --release -q -p bench --bin urb-trace -- verify target/ci_trace_a.json
 cargo run --release -q -p bench --bin urb-trace -- summary target/ci_trace_a.jsonl
 cargo run --release -q -p bench --bin urb-trace -- diff target/ci_trace_a.jsonl target/ci_trace_b.jsonl
 
-echo "==> urb-chaos smoke campaign: 64 strict runs at the acceptance seed"
-cargo run --release -q -p bench --bin urb-chaos -- --seed 7 --runs 64 --strict
+echo "==> urb-chaos smoke campaign: 64 strict runs at the acceptance seed, digest pinned"
+classic_pin="campaign digest 1e3f7ce9e94146d1 over 64 run(s), 0 violation(s)"
+classic_out=$(cargo run --release -q -p bench --bin urb-chaos -- --seed 7 --runs 64 --strict)
+echo "$classic_out"
+if ! grep -qxF "$classic_pin" <<<"$classic_out"; then
+  echo "classic campaign digest drifted; expected: $classic_pin" >&2
+  exit 1
+fi
 
 echo "==> urb-chaos policy tournament: full fault matrix x every policy, strict"
 cargo run --release -q -p bench --bin urb-chaos -- tournament \
@@ -62,7 +68,9 @@ for name in BENCH_kernel BENCH_parallel_recovery BENCH_policy_tournament BENCH_d
   committed="${name}.json"
   if [ -f "$committed" ]; then
     # Fail on structural drift (key-set changes) against the committed
-    # baseline; absolute numbers are machine-dependent and only reported.
+    # baseline, and on any moved `*digest` when the run used the committed
+    # seed and run count (reduced-run CI passes differ there and skip it);
+    # other numbers are machine-dependent and only reported.
     python3 - "$committed" "$fresh" <<'PY'
 import json, sys
 committed_path, fresh_path = sys.argv[1], sys.argv[2]
@@ -71,6 +79,11 @@ fresh = json.load(open(fresh_path))
 drift = sorted(set(committed) ^ set(fresh))
 if drift:
     sys.exit(f"structural drift in {fresh_path} vs {committed_path}: {drift}")
+if all(committed.get(k) == fresh.get(k) for k in ("seed", "runs", "runs_per_policy")):
+    moved = [f"{k}: {committed[k]} -> {fresh[k]}"
+             for k in committed if k.endswith("digest") and committed[k] != fresh[k]]
+    if moved:
+        sys.exit(f"digest drift in {fresh_path} vs {committed_path}: {moved}")
 if "events_per_sec" in committed:
     old, new = committed["events_per_sec"], fresh["events_per_sec"]
     print(f"    kernel events/sec: committed {old:,.0f} -> fresh {new:,.0f} "

@@ -1,22 +1,25 @@
-//! The chaos-campaign runner: executes one [`Scenario`] against the
-//! cluster simulation and checks the recovery-convergence invariants.
+//! The chaos-campaign runner and campaign loop: executes one [`Scenario`]
+//! against the cluster simulation and checks the recovery-convergence
+//! invariants, and runs whole campaigns through [`run_campaign`].
 //!
-//! Extracted from the `urb-chaos` binary so the policy tournament and the
-//! conformance tests can drive the same runner. The default
-//! [`RunOptions`] reproduce the classic campaign bit-for-bit (one node,
-//! the paper's recursive ladder, no failover); the tournament sweeps the
-//! same scenarios across every [`PolicyChoice`] in the registry on a
-//! two-node failover cluster and scores each policy on a
+//! Every `urb-chaos` mode, the policy tournament and the conformance
+//! tests drive the same runner; the netstate runner
+//! ([`crate::netstate`]) shares its settle-to-quiescence loop and its
+//! conservation and availability checks. The default [`RunOptions`]
+//! reproduce the classic campaign bit-for-bit (one node, the paper's
+//! recursive ladder, no failover); the tournament sweeps the same
+//! scenarios across every [`PolicyChoice`] in the registry on a two-node
+//! failover cluster and scores each policy on a
 //! downtime / failed-requests / reboot-cost / pages frontier.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cluster::{LogEvent, Sim, SimConfig, StoreChoice};
+use cluster::{LogEvent, Sim, SimConfig, StoreChoice, World};
 use faults::campaign::{self, Scenario};
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
-use recovery::{PolicyChoice, RmConfig};
+use recovery::{PolicyChoice, RecoveryManager, RmConfig};
 use simcore::telemetry::{shared_bus, TelemetrySink, TraceHashSink};
 use simcore::{MetricsRegistry, SimDuration, SimTime, TelemetryEvent};
 use workload::DetectorKind;
@@ -74,6 +77,7 @@ impl Default for RunOptions {
 }
 
 /// What one scenario run produced.
+#[derive(Debug, Default)]
 pub struct RunOutcome {
     /// FNV trace digest over every telemetry event of the run.
     pub digest: u64,
@@ -85,10 +89,23 @@ pub struct RunOutcome {
     pub downtime_ms: u64,
     /// Client operations that failed outright.
     pub failed_requests: u64,
+    /// Client operations that reached a terminal outcome (ok or failed).
+    pub total_ops: u64,
+    /// Client retries issued under the run's retry policy.
+    pub retries_issued: u64,
+    /// Reboots the ladder started (any level).
+    pub reboots_begun: u64,
     /// Total seconds of reboot activity (histogram mean × count).
     pub reboot_cost_s: f64,
     /// Humans paged.
     pub pages: u64,
+    /// Store-tier failure reports the recovery manager withheld from the
+    /// policy instead of blaming a component.
+    pub store_evidence: u64,
+    /// Commit intents the session-integrity ledger recorded (netstate).
+    pub commit_intents: u64,
+    /// Duplicate wire deliveries the store discarded (netstate).
+    pub dupes_discarded: u64,
     /// Performance-parity measurements; `Some` only when the run had the
     /// performance plane armed ([`RunOptions::perf`]).
     pub perf: Option<PerfOutcome>,
@@ -244,14 +261,14 @@ pub fn hardened_rm(parallel: bool) -> RmConfig {
 /// campaign horizon undetected (too few failures to cross the score
 /// threshold — the Figure 5 sensitivity tradeoff); the system guarantee
 /// is that the lease sweep still reaps every stuck thread on time.
-pub(crate) fn hung_bound() -> SimDuration {
+fn hung_bound() -> SimDuration {
     urb_core::calib::REQUEST_TTL + SimDuration::from_secs(5)
 }
 
 /// True while recovery machinery is still busy on any node. With the
 /// performance plane armed, a node out of latency parity counts as busy:
 /// convergence means performance recovered, not merely liveness.
-pub(crate) fn quiesced(sim: &Sim) -> bool {
+fn quiesced(sim: &Sim) -> bool {
     let w = sim.world();
     w.pool.perf().is_none_or(|p| p.anomalous_nodes().is_empty())
         && (0..w.nodes.len()).all(|n| {
@@ -270,7 +287,7 @@ pub(crate) fn quiesced(sim: &Sim) -> bool {
 /// the episode terminated (no decision in flight, no conductor ticket
 /// active or queued), quarantine and failover redirects lifted, every
 /// node back up, and no request stuck past the TTL sweep bound.
-pub(crate) fn structural_violations(sim: &Sim) -> Vec<String> {
+fn structural_violations(sim: &Sim) -> Vec<String> {
     let mut violations = Vec::new();
     let w = sim.world();
     for n in 0..w.nodes.len() {
@@ -320,6 +337,104 @@ pub(crate) fn structural_violations(sim: &Sim) -> Vec<String> {
     violations
 }
 
+/// The sinks every campaign run hangs on its telemetry bus: the trace
+/// digest, and the counters its invariants read.
+pub(crate) struct RunSinks {
+    hash: Rc<RefCell<TraceHashSink>>,
+    metrics: Rc<RefCell<MetricsRegistry>>,
+}
+
+impl RunSinks {
+    /// Attaches a fresh bus to `sim` carrying these sinks, then `extra`.
+    pub(crate) fn attach(sim: &mut Sim, extra: Option<Box<dyn TelemetrySink>>) -> RunSinks {
+        let sinks = RunSinks {
+            hash: Rc::new(RefCell::new(TraceHashSink::new())),
+            metrics: Rc::new(RefCell::new(MetricsRegistry::new())),
+        };
+        let bus = shared_bus();
+        bus.borrow_mut().add_sink(Box::new(sinks.hash.clone()));
+        bus.borrow_mut().add_sink(Box::new(sinks.metrics.clone()));
+        if let Some(sink) = extra {
+            bus.borrow_mut().add_sink(sink);
+        }
+        sim.attach_telemetry(bus);
+        sinks
+    }
+
+    /// Runs the armed `sim` to quiescence: [`TAIL_S`] past
+    /// `last_injection_s`, then 5 s slices until [`STABLE_SAMPLES`]
+    /// samples in a row quiesce or [`GRACE_S`] runs out. Checks the
+    /// structural invariants and reboot conservation, and returns the
+    /// finished world, the end second, and the outcome so far (digest,
+    /// counters, those violations).
+    pub(crate) fn settle(&self, mut sim: Sim, last_injection_s: u64) -> (World, u64, RunOutcome) {
+        let horizon_s = last_injection_s + TAIL_S;
+        sim.run_until(SimTime::from_secs(horizon_s));
+        let mut end_s = horizon_s;
+        let mut stable = if quiesced(&sim) { 1 } else { 0 };
+        while stable < STABLE_SAMPLES && end_s < horizon_s + GRACE_S {
+            end_s += 5;
+            sim.run_until(SimTime::from_secs(end_s));
+            stable = if quiesced(&sim) { stable + 1 } else { 0 };
+        }
+
+        let mut violations = structural_violations(&sim);
+        let world = sim.finish();
+        let m = self.metrics.borrow();
+        let (begun, finished) = (m.counter("reboots_begun"), m.counter("reboots_finished"));
+        if begun != finished {
+            violations.push(format!("{begun} reboot(s) begun but {finished} finished"));
+        }
+        let out = RunOutcome {
+            digest: self.hash.borrow().value(),
+            violations,
+            failed_requests: m.counter("client_ops_failed"),
+            total_ops: m.counter("client_ops"),
+            retries_issued: world.pool.retries_issued(),
+            reboots_begun: begun,
+            reboot_cost_s: m
+                .histogram("reboot_ms")
+                .map_or(0.0, |h| h.mean().as_secs_f64() * h.count() as f64),
+            pages: m.counter("decisions_notify_human"),
+            store_evidence: world.rm.as_ref().map_or(0, RecoveryManager::store_evidence),
+            ..RunOutcome::default()
+        };
+        (world, end_s, out)
+    }
+}
+
+/// The availability invariant: sums the degraded-goodput seconds from
+/// injection to `end_s` into `out.downtime_ms` and, on a run with no
+/// violation so far, requires goodput over the last 30 s back at half
+/// its pre-fault rate. Only for reboot-curable damage: the structural
+/// invariants (termination, ack conservation, lifted quarantine) apply
+/// to every run regardless.
+pub(crate) fn check_availability(world: &World, s: &Scenario, end_s: u64, out: &mut RunOutcome) {
+    let taw = world.pool.taw_ref();
+    let pre_rate = if s.inject_at_s > 3 {
+        taw.good_in(3, s.inject_at_s) / (s.inject_at_s - 3) as f64
+    } else {
+        0.0
+    };
+    let degraded_below = (0.5 * pre_rate).max(1.0);
+    for t in s.inject_at_s..end_s {
+        if taw.good_in(t, t + 1) < degraded_below {
+            out.downtime_ms += 1000;
+        }
+    }
+    let curable = campaign::goodput_recovers(&s.fault)
+        && s.second
+            .is_none_or(|sf| campaign::goodput_recovers(&sf.fault));
+    if curable && s.inject_at_s > 4 && out.violations.is_empty() {
+        let post_rate = taw.good_in(end_s - 30, end_s) / 30.0;
+        if pre_rate > 0.0 && post_rate < 0.5 * pre_rate {
+            out.violations.push(format!(
+                "goodput never recovered: {post_rate:.1} op/s at end vs {pre_rate:.1} op/s pre-fault"
+            ));
+        }
+    }
+}
+
 /// Executes one scenario under `opts` and checks every invariant.
 pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
     // SSM corruption needs the SSM backend to exist; everything else runs
@@ -350,19 +465,14 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         seed: s.sim_seed,
         ..SimConfig::default()
     });
-    let bus = shared_bus();
-    let hash = Rc::new(RefCell::new(TraceHashSink::new()));
-    let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
     let marks = Rc::new(RefCell::new(PerfMarks {
         debug: opts.debug,
         ..PerfMarks::default()
     }));
-    bus.borrow_mut().add_sink(Box::new(hash.clone()));
-    bus.borrow_mut().add_sink(Box::new(metrics.clone()));
-    if opts.perf.is_some() {
-        bus.borrow_mut().add_sink(Box::new(marks.clone()));
-    }
-    sim.attach_telemetry(bus);
+    let extra = opts
+        .perf
+        .map(|_| Box::new(marks.clone()) as Box<dyn TelemetrySink>);
+    let sinks = RunSinks::attach(&mut sim, extra);
 
     sim.schedule_fault(SimTime::from_secs(s.inject_at_s), 0, s.fault);
     let mut last_injection_s = s.inject_at_s;
@@ -404,71 +514,23 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         }
     }
 
-    let horizon_s = last_injection_s + TAIL_S;
-    sim.run_until(SimTime::from_secs(horizon_s));
-    let mut end_s = horizon_s;
-    let mut stable = if quiesced(&sim) { 1 } else { 0 };
-    while stable < STABLE_SAMPLES && end_s < horizon_s + GRACE_S {
-        end_s += 5;
-        sim.run_until(SimTime::from_secs(end_s));
-        stable = if quiesced(&sim) { stable + 1 } else { 0 };
-    }
-
-    let mut violations = structural_violations(&sim);
-    let (failed_requests, reboot_cost_s, pages) = {
-        let m = metrics.borrow();
-        let (begun, finished) = (m.counter("reboots_begun"), m.counter("reboots_finished"));
-        if begun != finished {
-            violations.push(format!("{begun} reboot(s) begun but {finished} finished"));
-        }
-        let reboot_cost_s = m
-            .histogram("reboot_ms")
-            .map_or(0.0, |h| h.mean().as_secs_f64() * h.count() as f64);
-        (
-            m.counter("client_ops_failed"),
-            reboot_cost_s,
-            m.counter("decisions_notify_human"),
-        )
-    };
-
-    let world = sim.finish();
+    let (world, end_s, mut out) = sinks.settle(sim, last_injection_s);
     if opts.debug {
         for ev in &world.log {
             println!("  {ev:?}");
         }
     }
-    let taw = world.pool.taw_ref();
-    let pre_rate = if s.inject_at_s > 3 {
-        taw.good_in(3, s.inject_at_s) / (s.inject_at_s - 3) as f64
-    } else {
-        0.0
-    };
-    let degraded_below = (0.5 * pre_rate).max(1.0);
-    let mut downtime_ms = 0u64;
-    for t in s.inject_at_s..end_s {
-        if taw.good_in(t, t + 1) < degraded_below {
-            downtime_ms += 1000;
-        }
-    }
-    if expect_goodput_recovery(s) && s.inject_at_s > 4 && violations.is_empty() {
-        let pre_window = s.inject_at_s - 3;
-        let pre_rate = taw.good_in(3, s.inject_at_s) / pre_window as f64;
-        let post_rate = taw.good_in(end_s - 30, end_s) / 30.0;
-        if pre_rate > 0.0 && post_rate < 0.5 * pre_rate {
-            violations.push(format!(
-                "goodput never recovered: {post_rate:.1} op/s at end vs {pre_rate:.1} op/s pre-fault"
-            ));
-        }
-    }
+    check_availability(&world, s, end_s, &mut out);
 
     // Performance-parity invariants (degraded campaigns): the fail-slow
     // fault must be *detected* (baseline frozen pre-injection, at least
     // one anomaly raised) and *cured* (parity restored, no node still
     // out of parity at quiescence) — the ladder has to climb out of slow
     // states, not just dead ones.
-    let perf = opts.perf.map(|_| {
+    let violations = &mut out.violations;
+    out.perf = opts.perf.map(|_| {
         let m = marks.borrow();
-        let reg = metrics.borrow();
+        let reg = sinks.metrics.borrow();
         if m.baselines_frozen == 0 {
             violations.push("perf baseline never froze before injection".into());
         }
@@ -517,44 +579,92 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
             escalation_depth,
         }
     });
+    out
+}
 
-    let digest = hash.borrow().value();
-    RunOutcome {
-        digest,
-        violations,
-        downtime_ms,
-        failed_requests,
-        reboot_cost_s,
-        pages,
-        perf,
+// ---- the campaign loop ---------------------------------------------------
+
+/// A campaign run that broke an invariant.
+#[derive(Debug)]
+pub struct Failure {
+    /// The scenario's run index.
+    pub run: u64,
+    /// The scenario, as [`describe`] prints it.
+    pub scenario: String,
+    /// What it violated.
+    pub violations: Vec<String>,
+}
+
+/// What [`run_campaign`] folded over a campaign.
+pub struct Campaign {
+    /// FNV fold of every run's `CampaignRunDone` event: the campaign
+    /// digest.
+    pub hash: TraceHashSink,
+    /// The same events' counters (`campaign_runs_done`,
+    /// `campaign_violations`).
+    pub metrics: MetricsRegistry,
+    /// Every run with a violation, in run order.
+    pub failures: Vec<Failure>,
+}
+
+/// The one campaign loop every `urb-chaos` mode runs. Each scenario goes
+/// through `run(s, true)`; under `strict` it goes through `run(s, false)`
+/// a second time and a digest mismatch is recorded as a
+/// `nondeterministic` violation. The run's `CampaignRunDone` event is
+/// folded into the campaign digest and counters, the scenario and its
+/// final outcome go to `each` (the mode's own aggregation and verbose
+/// line), and a run with violations joins the failure list.
+pub fn run_campaign(
+    scenarios: &[Scenario],
+    strict: bool,
+    mut run: impl FnMut(&Scenario, bool) -> RunOutcome,
+    mut each: impl FnMut(&Scenario, &RunOutcome),
+) -> Campaign {
+    let mut c = Campaign {
+        hash: TraceHashSink::new(),
+        metrics: MetricsRegistry::new(),
+        failures: Vec::new(),
+    };
+    for s in scenarios {
+        let mut out = run(s, true);
+        if strict {
+            let again = run(s, false);
+            if again.digest != out.digest {
+                out.violations.push(format!(
+                    "nondeterministic: digest {:016x} vs {:016x} on re-run",
+                    out.digest, again.digest
+                ));
+            }
+        }
+        let done = TelemetryEvent::CampaignRunDone {
+            run: s.run,
+            digest: out.digest,
+            violations: out.violations.len() as u32,
+        };
+        c.hash.on_event(&done);
+        c.metrics.on_event(&done);
+        each(s, &out);
+        if !out.violations.is_empty() {
+            c.failures.push(Failure {
+                run: s.run,
+                scenario: describe(s),
+                violations: out.violations,
+            });
+        }
+    }
+    c
+}
+
+/// A run's verdict for the verbose per-run lines.
+pub fn verdict(violations: &[String]) -> String {
+    if violations.is_empty() {
+        "ok".into()
+    } else {
+        format!("VIOLATIONS: {}", violations.join("; "))
     }
 }
 
-/// Whether the availability invariant applies: reboot-curable damage
-/// only. Structural invariants (termination, ack conservation, lifted
-/// quarantine) apply to every run regardless.
-pub fn expect_goodput_recovery(s: &Scenario) -> bool {
-    campaign::goodput_recovers(&s.fault)
-        && s.second
-            .is_none_or(|sf| campaign::goodput_recovers(&sf.fault))
-}
-
 // ---- policy tournament ---------------------------------------------------
-
-/// Tournament parameters.
-#[derive(Clone, Debug)]
-pub struct TournamentOptions {
-    /// Master seed for [`campaign::tournament_scenarios`].
-    pub seed: u64,
-    /// Scenarios per policy (18 covers every fault kind once).
-    pub runs: u64,
-    /// The competing policies.
-    pub policies: Vec<PolicyChoice>,
-    /// Re-run every scenario and require digest equality.
-    pub strict: bool,
-    /// Print per-run lines.
-    pub verbose: bool,
-}
 
 /// One policy's aggregate score over the full scenario matrix. All four
 /// frontier metrics are minimized.
@@ -562,8 +672,6 @@ pub struct TournamentOptions {
 pub struct PolicyScore {
     /// The policy.
     pub policy: PolicyChoice,
-    /// Scenarios executed.
-    pub runs: u64,
     /// Total invariant violations across the matrix.
     pub violations: u64,
     /// Frontier metric: Σ zero-goodput milliseconds post-injection.
@@ -580,79 +688,66 @@ pub struct PolicyScore {
     pub pareto: bool,
 }
 
-/// Runs the full scenario matrix under every policy and scores the
+/// Runs `scenarios` under every policy in `policies` on a two-node
+/// failover cluster, one [`run_campaign`] per policy, and scores the
 /// Pareto frontier over (downtime, failed requests, reboot cost, pages).
-pub fn tournament(opts: &TournamentOptions) -> Vec<PolicyScore> {
-    let scenarios = campaign::tournament_scenarios(&campaign::CampaignConfig {
-        seed: opts.seed,
-        runs: opts.runs,
-    });
-    let mut scores: Vec<PolicyScore> = opts
-        .policies
+/// Also returns every failed run, its scenario prefixed by the policy.
+pub fn tournament(
+    scenarios: &[Scenario],
+    policies: &[PolicyChoice],
+    strict: bool,
+    verbose: bool,
+) -> (Vec<PolicyScore>, Vec<Failure>) {
+    let mut failures = Vec::new();
+    let mut scores: Vec<PolicyScore> = policies
         .iter()
         .map(|&policy| {
-            let run_opts = RunOptions {
+            let opts = RunOptions {
                 nodes: 2,
                 policy,
                 failover: true,
-                clients: CLIENTS,
-                perf: None,
-                debug: false,
+                ..RunOptions::default()
             };
-            let mut hash = TraceHashSink::new();
-            let mut score = PolicyScore {
-                policy,
-                runs: scenarios.len() as u64,
-                violations: 0,
-                downtime_ms: 0,
-                failed_requests: 0,
-                reboot_cost_s: 0.0,
-                pages: 0,
-                digest: 0,
-                pareto: false,
-            };
-            for s in &scenarios {
-                let mut out = run_scenario(s, &run_opts);
-                if opts.strict {
-                    let again = run_scenario(s, &run_opts);
-                    if again.digest != out.digest {
-                        out.violations.push(format!(
-                            "nondeterministic: digest {:016x} vs {:016x} on re-run",
-                            out.digest, again.digest
-                        ));
+            let mut sum = RunOutcome::default();
+            let c = run_campaign(
+                scenarios,
+                strict,
+                |s, _| run_scenario(s, &opts),
+                |s, out| {
+                    if verbose {
+                        println!(
+                            "  {:<16} run {:>3}  {:<48} downtime {:>7} ms  {}",
+                            policy.label(),
+                            s.run,
+                            describe(s),
+                            out.downtime_ms,
+                            verdict(&out.violations)
+                        );
                     }
-                }
-                hash.on_event(&TelemetryEvent::CampaignRunDone {
-                    run: s.run,
-                    digest: out.digest,
-                    violations: out.violations.len() as u32,
-                });
-                if opts.verbose {
-                    println!(
-                        "  {:<16} run {:>3}  {:<48} downtime {:>7} ms  {}",
-                        policy.label(),
-                        s.run,
-                        describe(s),
-                        out.downtime_ms,
-                        if out.violations.is_empty() {
-                            "ok".into()
-                        } else {
-                            format!("VIOLATIONS: {}", out.violations.join("; "))
-                        }
-                    );
-                }
-                score.violations += out.violations.len() as u64;
-                score.downtime_ms += out.downtime_ms;
-                score.failed_requests += out.failed_requests;
-                score.reboot_cost_s += out.reboot_cost_s;
-                score.pages += out.pages;
+                    sum.downtime_ms += out.downtime_ms;
+                    sum.failed_requests += out.failed_requests;
+                    sum.reboot_cost_s += out.reboot_cost_s;
+                    sum.pages += out.pages;
+                },
+            );
+            failures.extend(c.failures.into_iter().map(|f| Failure {
+                scenario: format!("{}: {}", policy.label(), f.scenario),
+                ..f
+            }));
+            PolicyScore {
+                policy,
+                violations: c.metrics.counter("campaign_violations"),
+                downtime_ms: sum.downtime_ms,
+                failed_requests: sum.failed_requests,
+                reboot_cost_s: sum.reboot_cost_s,
+                pages: sum.pages,
+                digest: c.hash.value(),
+                pareto: false,
             }
-            score.digest = hash.value();
-            score
         })
         .collect();
     mark_pareto(&mut scores);
-    scores
+    (scores, failures)
 }
 
 /// Marks each score's `pareto` flag: a policy is on the frontier iff no
@@ -676,5 +771,71 @@ pub fn mark_pareto(scores: &mut [PolicyScore]) {
         s.pareto = !snapshot
             .iter()
             .any(|other| other.policy != s.policy && dominated(s, other));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use faults::campaign::{scenarios, CampaignConfig};
+
+    fn outcome(digest: u64) -> RunOutcome {
+        RunOutcome {
+            digest,
+            ..RunOutcome::default()
+        }
+    }
+
+    #[test]
+    fn a_digest_that_moves_on_the_rerun_is_one_nondeterminism_violation() {
+        let scenarios = scenarios(&CampaignConfig { seed: 7, runs: 3 });
+        let mut passes = Vec::new();
+        let mut seen = Vec::new();
+        let c = run_campaign(
+            &scenarios,
+            true,
+            |s, first| {
+                passes.push(first);
+                // The second call is run 0's strict re-run.
+                outcome(if passes.len() == 2 {
+                    0xbad
+                } else {
+                    100 + s.run
+                })
+            },
+            |s, out| seen.push((s.run, out.digest, out.violations.len() as u32)),
+        );
+        assert_eq!(passes, [true, false, true, false, true, false]);
+        assert_eq!(seen, [(0, 100, 1), (1, 101, 0), (2, 102, 0)]);
+        assert_eq!(c.failures.len(), 1);
+        assert_eq!(
+            (c.failures[0].run, &c.failures[0].scenario),
+            (0, &describe(&scenarios[0]))
+        );
+        assert_eq!(
+            c.failures[0].violations,
+            [format!(
+                "nondeterministic: digest {:016x} vs {:016x} on re-run",
+                100, 0xbad
+            )]
+        );
+
+        // The fold is a hand fold of the same `CampaignRunDone` events.
+        let mut hash = TraceHashSink::new();
+        let mut metrics = MetricsRegistry::new();
+        for (run, digest, violations) in seen {
+            let done = TelemetryEvent::CampaignRunDone {
+                run,
+                digest,
+                violations,
+            };
+            hash.on_event(&done);
+            metrics.on_event(&done);
+        }
+        assert_eq!(c.hash.value(), hash.value());
+        for counter in ["campaign_runs_done", "campaign_violations"] {
+            assert_eq!(c.metrics.counter(counter), metrics.counter(counter));
+        }
+        assert_eq!(c.metrics.counter("campaign_violations"), 1);
     }
 }

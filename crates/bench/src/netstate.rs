@@ -25,18 +25,14 @@
 //! Plus the structural invariants shared with the classic campaign and,
 //! under `--strict`, bit-identical digest reproduction on re-run.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cluster::{Sim, SimConfig, StoreChoice};
 use faults::campaign::Scenario;
 use faults::{Fault, NetEdge};
-use simcore::telemetry::{shared_bus, TraceHashSink};
-use simcore::{MetricsRegistry, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 use statestore::{shared_ledger, SessionId};
 use workload::{DetectorKind, RetryPolicy};
 
-use crate::chaos::{self, CLIENTS, GRACE_S, STABLE_SAMPLES, TAIL_S};
+use crate::chaos::{self, RunOutcome, RunSinks, CLIENTS};
 
 /// The budgeted retry policy the campaign's retry arm runs under: a
 /// small per-request budget with exponential backoff from 250 ms, capped
@@ -47,35 +43,6 @@ pub fn budgeted_policy() -> RetryPolicy {
         base: SimDuration::from_millis(250),
         cap: SimDuration::from_secs(8),
     }
-}
-
-/// What one netstate run produced.
-pub struct NetstateOutcome {
-    /// FNV trace digest over every telemetry event of the run.
-    pub digest: u64,
-    /// Invariant violations (empty on a clean run).
-    pub violations: Vec<String>,
-    /// Degraded-goodput wall time after injection, in milliseconds.
-    pub downtime_ms: u64,
-    /// Commit intents the ledger recorded (client-visible commits over
-    /// sessions with at least one applied write).
-    pub commit_intents: u64,
-    /// Duplicate wire deliveries the store discarded (the dupe defense
-    /// firing, not failing).
-    pub dupes_discarded: u64,
-    /// Store-tier failure reports the recovery manager withheld from the
-    /// policy instead of blaming a component.
-    pub store_evidence: u64,
-    /// Client retries issued under the run's retry policy.
-    pub retries_issued: u64,
-    /// Client operations that failed outright.
-    pub failed_requests: u64,
-    /// Client operations that reached a terminal outcome (ok or failed).
-    /// Retried attempts are not terminal, so attempt amplification is
-    /// `(total_ops + retries_issued) / total_ops`.
-    pub total_ops: u64,
-    /// Reboots the ladder started (any level).
-    pub reboots_begun: u64,
 }
 
 /// Whether `f` lands purely on the store tier: the cluster's nodes stay
@@ -91,7 +58,7 @@ fn store_tier(f: &Fault) -> bool {
 }
 
 /// Executes one netstate scenario and checks every integrity invariant.
-pub fn run_netstate_scenario(s: &Scenario) -> NetstateOutcome {
+pub fn run_netstate_scenario(s: &Scenario) -> RunOutcome {
     let policy = if s.budgeted_retry {
         budgeted_policy()
     } else {
@@ -103,7 +70,7 @@ pub fn run_netstate_scenario(s: &Scenario) -> NetstateOutcome {
 /// [`run_netstate_scenario`] with an explicit retry policy — the
 /// retry-storm regression runs the same scenario under naive and
 /// budgeted clients to compare amplification.
-pub fn run_netstate_with_policy(s: &Scenario, retry_policy: RetryPolicy) -> NetstateOutcome {
+pub fn run_netstate_with_policy(s: &Scenario, retry_policy: RetryPolicy) -> RunOutcome {
     let mut sim = Sim::new(SimConfig {
         nodes: 2,
         clients_per_node: CLIENTS,
@@ -130,50 +97,13 @@ pub fn run_netstate_with_policy(s: &Scenario, retry_policy: RetryPolicy) -> Nets
             ssm.borrow_mut().attach_ledger(ledger.clone());
         }
     }
-
-    let bus = shared_bus();
-    let hash = Rc::new(RefCell::new(TraceHashSink::new()));
-    let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
-    bus.borrow_mut().add_sink(Box::new(hash.clone()));
-    bus.borrow_mut().add_sink(Box::new(metrics.clone()));
-    sim.attach_telemetry(bus);
-
+    let sinks = RunSinks::attach(&mut sim, None);
     sim.schedule_fault(SimTime::from_secs(s.inject_at_s), 0, s.fault);
-
-    let horizon_s = s.inject_at_s + TAIL_S;
-    sim.run_until(SimTime::from_secs(horizon_s));
-    let mut end_s = horizon_s;
-    let mut stable = if chaos::quiesced(&sim) { 1 } else { 0 };
-    while stable < STABLE_SAMPLES && end_s < horizon_s + GRACE_S {
-        end_s += 5;
-        sim.run_until(SimTime::from_secs(end_s));
-        stable = if chaos::quiesced(&sim) { stable + 1 } else { 0 };
-    }
-
-    let mut violations = chaos::structural_violations(&sim);
-    let (failed_requests, total_ops, reboots_begun) = {
-        let m = metrics.borrow();
-        let (begun, finished) = (m.counter("reboots_begun"), m.counter("reboots_finished"));
-        if begun != finished {
-            violations.push(format!("{begun} reboot(s) begun but {finished} finished"));
-        }
-        (
-            m.counter("client_ops_failed"),
-            m.counter("client_ops"),
-            begun,
-        )
-    };
-
-    let store_evidence = sim
-        .world()
-        .rm
-        .as_ref()
-        .map_or(0, recovery::RecoveryManager::store_evidence);
-    let retries_issued = sim.world().pool.retries_issued();
-    let world = sim.finish();
+    let (world, end_s, mut out) = sinks.settle(sim, s.inject_at_s);
 
     // Session-integrity invariants, checked ledger-against-store.
     let led = ledger.borrow();
+    let violations = &mut out.violations;
     if let Some(ssm) = &world.ssm {
         let store = ssm.borrow();
         let mut lost = 0u64;
@@ -212,48 +142,19 @@ pub fn run_netstate_with_policy(s: &Scenario, retry_policy: RetryPolicy) -> Nets
     {
         violations.push("node-store dupe fault ran but the dupe defense never fired".into());
     }
-    if store_tier(&s.fault) && reboots_begun > 0 {
+    if store_tier(&s.fault) && out.reboots_begun > 0 {
         violations.push(format!(
-            "store-tier fault drew {reboots_begun} reboot(s) onto healthy components"
+            "store-tier fault drew {} reboot(s) onto healthy components",
+            out.reboots_begun
         ));
     }
+    out.commit_intents = led.total_intents();
+    out.dupes_discarded = led.dupes_discarded();
 
-    // Availability: every netstate fault heals, so goodput must recover.
-    let taw = world.pool.taw_ref();
-    let pre_rate = if s.inject_at_s > 3 {
-        taw.good_in(3, s.inject_at_s) / (s.inject_at_s - 3) as f64
-    } else {
-        0.0
-    };
-    let degraded_below = (0.5 * pre_rate).max(1.0);
-    let mut downtime_ms = 0u64;
-    for t in s.inject_at_s..end_s {
-        if taw.good_in(t, t + 1) < degraded_below {
-            downtime_ms += 1000;
-        }
-    }
-    if s.inject_at_s > 4 && violations.is_empty() {
-        let post_rate = taw.good_in(end_s - 30, end_s) / 30.0;
-        if pre_rate > 0.0 && post_rate < 0.5 * pre_rate {
-            violations.push(format!(
-                "goodput never recovered: {post_rate:.1} op/s at end vs {pre_rate:.1} op/s pre-fault"
-            ));
-        }
-    }
-
-    let digest = hash.borrow().value();
-    NetstateOutcome {
-        digest,
-        violations,
-        downtime_ms,
-        commit_intents: led.total_intents(),
-        dupes_discarded: led.dupes_discarded(),
-        store_evidence,
-        retries_issued,
-        failed_requests,
-        total_ops,
-        reboots_begun,
-    }
+    // Every netstate fault heals (`campaign::goodput_recovers` holds for
+    // each) and none has a second fault, so goodput must recover.
+    chaos::check_availability(&world, s, end_s, &mut out);
+    out
 }
 
 #[cfg(test)]
